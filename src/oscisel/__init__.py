@@ -27,7 +27,6 @@ from .models import (
     mean_gradient,
     mean_loss,
     per_sample_gradients,
-    sgd_step,
 )
 from .regprobe import (
     RegEstimate,
@@ -35,7 +34,6 @@ from .regprobe import (
     full_batch,
     gradient_covariance_trace_hc,
     lambda_factor,
-    trace_r_over_training,
     verify_one_step_expansion,
 )
 from .rng import PortableRNG, subseed

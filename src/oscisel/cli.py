@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data as data_mod
 from .config import SCHEMA_VERSION, LoadedConfig, load_config
+from .data import save_osds
 from .errors import (
     ConfigError,
     FormatError,
@@ -27,7 +27,14 @@ from .errors import (
 )
 from .regprobe import estimate_r, full_batch, verify_one_step_expansion
 from .schedule import RatioTrajectory, derive_params
-from .trainer import build_datasets, build_model, make_trajectory, run_training
+from .trainer import (
+    SPEC_KEYS,
+    build_datasets,
+    build_model,
+    datasets_from_spec,
+    epoch_lr,
+    run_training,
+)
 
 
 class _UsageError(Exception):
@@ -156,9 +163,10 @@ def _cmd_probe(args) -> int:
     with open(loaded.out_dir / "regprobe.jsonl", "w") as f:
         for p in ratios:
             for epoch, theta in result.snapshots:
+                # the epoch's learning rate, as in the run's own R_estimate
                 est = estimate_r(
                     ModelState(result.final_state.arch, theta),
-                    batch, p, cfg.learning_rate, seed=cfg.seed,
+                    batch, p, epoch_lr(cfg, epoch), seed=cfg.seed,
                 )
                 f.write(
                     _json_line(
@@ -197,41 +205,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    # each flag is named after the dataset key it sets (--n-train -> n_train)
+    required, optional = SPEC_KEYS["dataset"][args.kind]
+    spec = {"kind": args.kind}
+    spec.update({k: getattr(args, k) for k in required | optional if hasattr(args, k)})
+    train, test = datasets_from_spec(spec, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .rng import subseed
-
-    if args.kind == "two_moons":
-        train = data_mod.gen_two_moons(
-            args.n_train, args.noise, subseed(args.seed, "data.train"), "train"
-        )
-        test = data_mod.gen_two_moons(
-            args.n_test, args.noise, subseed(args.seed, "data.test"), "test"
-        )
-    elif args.kind == "blobs":
-        train = data_mod.gen_blobs(
-            args.classes, args.per_class, args.d_in, args.spread,
-            subseed(args.seed, "data.train"), "train",
-        )
-        test = data_mod.gen_blobs(
-            args.classes, args.per_class, args.d_in, args.spread,
-            subseed(args.seed, "data.test"), "test",
-        )
-    else:
-        train = data_mod.gen_gauss_linear(
-            args.n_train, args.d_in, args.noise,
-            subseed(args.seed, "data.train"), "train",
-        )
-        test = data_mod.gen_gauss_linear(
-            args.n_test, args.d_in, args.noise,
-            subseed(args.seed, "data.test"), "test",
-        )
-    if args.label_noise > 0.0:
-        train = data_mod.inject_label_noise(
-            train, args.label_noise, subseed(args.seed, "data.noise")
-        )
-    data_mod.save_osds(train, out / "train.osds")
-    data_mod.save_osds(test, out / "test.osds")
+    save_osds(train, out / "train.osds")
+    save_osds(test, out / "test.osds")
     print(f"wrote {out / 'train.osds'} ({train.n} rows), "
           f"{out / 'test.osds'} ({test.n} rows)")
     return 0

@@ -9,22 +9,21 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .trainer import RunConfig
+from .trainer import RunConfig, check_keys
 
 SCHEMA_VERSION = "v1"
 
-_REQUIRED = {
-    "schema_version", "dataset", "model", "epochs", "batch_size",
-    "learning_rate", "target_ratio", "out_dir",
-}
-_OPTIONAL = {
-    "margin", "momentum", "policy", "schedule_mode", "lr_schedule",
-    "seed", "eval_every", "probe_every", "name",
-}
+# a config holds RunConfig's fields, optional where RunConfig has a default,
+# plus these keys of the file itself
+_FILE_KEYS = {"schema_version", "out_dir", "name"}
+_REQUIRED = {f.name for f in fields(RunConfig) if f.default is MISSING}
+_REQUIRED |= {"schema_version", "out_dir"}
+_OPTIONAL = {f.name for f in fields(RunConfig) if f.default is not MISSING}
+_OPTIONAL |= {"name"}
 
 
 @dataclass(frozen=True)
@@ -32,50 +31,27 @@ class LoadedConfig:
     run: RunConfig
     out_dir: Path
     name: str
-    raw: dict
 
 
 def output_root() -> Path:
     return Path(os.environ.get("OSCISEL_OUT", "out"))
 
 
-def parse_config(doc: dict, base_dir: Path | None = None) -> LoadedConfig:
+def parse_config(doc: dict) -> LoadedConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
-    keys = set(doc)
-    missing = _REQUIRED - keys
-    if missing:
-        raise ConfigError(f"missing required keys: {sorted(missing)}")
-    unknown = keys - _REQUIRED - _OPTIONAL
-    if unknown:
-        raise ConfigError(f"unknown keys: {sorted(unknown)}")
+    check_keys("config", doc, _REQUIRED, _OPTIONAL)
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {doc['schema_version']!r}, "
             f"want {SCHEMA_VERSION!r}"
         )
-    run = RunConfig(
-        dataset=doc["dataset"],
-        model=doc["model"],
-        epochs=doc["epochs"],
-        batch_size=doc["batch_size"],
-        learning_rate=doc["learning_rate"],
-        target_ratio=doc["target_ratio"],
-        margin=doc.get("margin", 0.05),
-        momentum=doc.get("momentum", 0.0),
-        policy=doc.get("policy", "hard_mining"),
-        schedule_mode=doc.get("schedule_mode", "oscillatory"),
-        lr_schedule=doc.get("lr_schedule", "constant"),
-        seed=doc.get("seed", 0),
-        eval_every=doc.get("eval_every", 1),
-        probe_every=doc.get("probe_every", 0),
-    )
+    run = RunConfig(**{k: v for k, v in doc.items() if k not in _FILE_KEYS})
     out_dir = Path(doc["out_dir"])
     if not out_dir.is_absolute():
-        root = base_dir if base_dir is not None else output_root()
-        out_dir = root / out_dir
+        out_dir = output_root() / out_dir
     name = doc.get("name", "run")
-    return LoadedConfig(run=run, out_dir=out_dir, name=name, raw=doc)
+    return LoadedConfig(run=run, out_dir=out_dir, name=name)
 
 
 def load_config(path) -> LoadedConfig:

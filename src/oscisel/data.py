@@ -172,7 +172,9 @@ def _read_exact(f, count: int, what: str) -> bytes:
     return buf
 
 
-def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
+def load_idx(
+    images_path, labels_path, limit: int | None = None, split: str = "train"
+) -> Dataset:
     """Load an IDX u8 image/label pair (MNIST-style), pixels scaled to [0, 1]."""
     with open(images_path, "rb") as f:
         magic, n, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
@@ -201,7 +203,7 @@ def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
         "generator": "idx", "images": str(images_path),
         "labels": str(labels_path), "limit": limit, "classes": 10,
     }
-    return Dataset(images.astype(np.float64) / 255.0, labels, "train", prov)
+    return Dataset(images.astype(np.float64) / 255.0, labels, split, prov)
 
 
 def save_osds(ds: Dataset, path) -> None:

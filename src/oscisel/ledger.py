@@ -20,7 +20,6 @@ class BudgetLedger:
     n: int  # dataset size
     target_ratio: float
     entries: list = field(default_factory=list)  # (epoch, n_selected)
-    scoring_overhead_passes: int = 0
 
     def record_epoch(self, epoch: int, n_selected: int) -> "BudgetLedger":
         expected = self.entries[-1][0] + 1 if self.entries else 0
@@ -44,9 +43,6 @@ class BudgetLedger:
             )
         return self
 
-    def add_scoring_passes(self, n: int) -> None:
-        self.scoring_overhead_passes += n
-
     def total_passes(self) -> int:
         return sum(n for _, n in self.entries)
 
@@ -62,6 +58,5 @@ class BudgetLedger:
             "realized_ratio": realized,
             "target_ratio": self.target_ratio,
             "headroom": self.target_ratio - realized,
-            "scoring_overhead_passes": self.scoring_overhead_passes,
             "floor_slack_used": realized > self.target_ratio + 1e-12,
         }

@@ -105,38 +105,72 @@ def _check_batch(state: ModelState, batch: Batch) -> None:
             raise StructuralError("class labels out of range")
 
 
-def _split_logistic(state: ModelState):
-    d, c = state.arch.d_in, state.arch.classes
-    w = state.theta[: d * c].reshape(d, c)
-    b = state.theta[d * c :]
-    return w, b
-
-
-def _split_mlp(state: ModelState):
-    d, h, c = state.arch.d_in, state.arch.hidden, state.arch.classes
-    t = state.theta
-    o = 0
-    w1 = t[o : o + d * h].reshape(d, h); o += d * h
-    b1 = t[o : o + h]; o += h
-    w2 = t[o : o + h * c].reshape(h, c); o += h * c
-    b2 = t[o : o + c]
-    return w1, b1, w2, b2
+def _layers(arch: Arch, theta: np.ndarray) -> list:
+    """(weights, bias) views per layer of one theta (d,) or a stack (K, d)."""
+    widths = [arch.d_in, arch.classes]
+    if arch.kind == "mlp":
+        widths.insert(1, arch.hidden)
+    lead, o, layers = theta.shape[:-1], 0, []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        w = theta[..., o : o + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
+        o += fan_in * fan_out
+        layers.append((w, theta[..., o : o + fan_out]))
+        o += fan_out
+    return layers
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
-def _class_scores(state: ModelState, x: np.ndarray):
-    """Logits plus whatever intermediates backprop needs."""
-    if state.arch.kind == "logistic":
-        w, b = _split_logistic(state)
-        return x @ w + b, None
-    w1, b1, w2, b2 = _split_mlp(state)
-    z1 = x @ w1 + b1
-    a1 = np.maximum(z1, 0.0)
-    return a1 @ w2 + b2, (z1, a1)
+def _forward(arch: Arch, theta: np.ndarray, x: np.ndarray):
+    """Classifier logits (..., m, classes), the layers and each layer's input."""
+    layers = _layers(arch, theta)
+    inputs = []
+    scores = x
+    for i, (w, b) in enumerate(layers):
+        inputs.append(np.maximum(scores, 0.0, out=scores) if i else x)  # ReLU
+        scores = inputs[-1] @ w
+        scores += b[..., None, :]
+    return scores, layers, inputs
+
+
+def _layer_deltas(arch: Arch, theta: np.ndarray, batch: Batch) -> list:
+    """(layer input, loss gradient w.r.t. the layer output) per layer.
+
+    Each sample's weight gradient is the outer product of the two and its
+    bias gradient is the delta, so mean and per-sample gradients differ only
+    in how they reduce these pairs.
+    """
+    scores, layers, inputs = _forward(arch, theta, batch.inputs)
+    delta = np.exp(_log_softmax(scores))  # softmax - onehot
+    delta[..., np.arange(batch.size), batch.labels] -= 1.0
+    pairs = []
+    for i in reversed(range(len(layers))):
+        pairs.insert(0, (inputs[i], delta))
+        if i:
+            delta = delta @ layers[i][0].swapaxes(-1, -2)
+            delta *= inputs[i] > 0  # ReLU gate
+    return pairs
+
+
+def _mean_gradient(arch: Arch, theta: np.ndarray, batch: Batch) -> np.ndarray:
+    """Batch-mean gradient at one theta (d,) or at each row of a stack (K, d)."""
+    x, m = batch.inputs, batch.size
+    if arch.kind == "quadratic":
+        # a column per theta, so each row of a stack runs the same matrix-
+        # vector products as one theta does
+        resid = x @ theta[..., :, None] - batch.labels[:, None]
+        return (resid.swapaxes(-1, -2) @ x / m).reshape(theta.shape)
+    lead = theta.shape[:-1]
+    parts = []
+    for inputs, delta in _layer_deltas(arch, theta, batch):
+        weights = inputs.swapaxes(-1, -2) @ delta / m
+        # sum / m is what mean computes, without its Python overhead
+        parts += [weights.reshape(*lead, -1), delta.sum(axis=-2) / m]
+    return np.concatenate(parts, axis=-1)
 
 
 def loss_per_sample(state: ModelState, batch: Batch) -> np.ndarray:
@@ -144,8 +178,7 @@ def loss_per_sample(state: ModelState, batch: Batch) -> np.ndarray:
     if state.arch.kind == "quadratic":
         resid = batch.inputs @ state.theta - batch.labels
         return 0.5 * resid**2
-    scores, _ = _class_scores(state, batch.inputs)
-    logp = _log_softmax(scores)
+    logp = _log_softmax(_forward(state.arch, state.theta, batch.inputs)[0])
     return -logp[np.arange(batch.size), batch.labels]
 
 
@@ -153,77 +186,50 @@ def mean_loss(state: ModelState, batch: Batch) -> float:
     return float(loss_per_sample(state, batch).mean())
 
 
-def _dlogits(state: ModelState, batch: Batch):
-    """softmax(scores) - onehot, plus forward intermediates."""
-    scores, inter = _class_scores(state, batch.inputs)
-    logp = _log_softmax(scores)
-    g = np.exp(logp)
-    g[np.arange(batch.size), batch.labels] -= 1.0
-    return g, inter
+def predict(state: ModelState, batch: Batch) -> np.ndarray:
+    """Top-1 class of each row; classifiers only."""
+    _check_batch(state, batch)
+    if state.arch.kind == "quadratic":
+        raise ParameterDomainError("a regression model predicts no classes")
+    return _forward(state.arch, state.theta, batch.inputs)[0].argmax(axis=1)
 
 
 def mean_gradient(state: ModelState, batch: Batch) -> np.ndarray:
     _check_batch(state, batch)
-    x = batch.inputs
-    m = batch.size
-    if state.arch.kind == "quadratic":
-        resid = x @ state.theta - batch.labels
-        return (resid @ x) / m
-    g, inter = _dlogits(state, batch)
-    if state.arch.kind == "logistic":
-        return np.concatenate([(x.T @ g / m).ravel(), g.mean(axis=0)])
-    _, _, w2, _ = _split_mlp(state)
-    z1, a1 = inter
-    dz1 = (g @ w2.T) * (z1 > 0)
-    return np.concatenate(
-        [
-            (x.T @ dz1 / m).ravel(),
-            dz1.mean(axis=0),
-            (a1.T @ g / m).ravel(),
-            g.mean(axis=0),
-        ]
-    )
+    return _mean_gradient(state.arch, state.theta, batch)
 
 
 def per_sample_gradients(state: ModelState, batch: Batch) -> np.ndarray:
     """One gradient row per sample; intended for small d and m."""
     _check_batch(state, batch)
-    x = batch.inputs
-    m = batch.size
+    x, m = batch.inputs, batch.size
     if state.arch.kind == "quadratic":
         resid = x @ state.theta - batch.labels
         return resid[:, None] * x
-    g, inter = _dlogits(state, batch)
-    if state.arch.kind == "logistic":
-        gw = np.einsum("md,mc->mdc", x, g).reshape(m, -1)
-        return np.concatenate([gw, g], axis=1)
-    _, _, w2, _ = _split_mlp(state)
-    z1, a1 = inter
-    dz1 = (g @ w2.T) * (z1 > 0)
-    gw1 = np.einsum("md,mh->mdh", x, dz1).reshape(m, -1)
-    gw2 = np.einsum("mh,mc->mhc", a1, g).reshape(m, -1)
-    return np.concatenate([gw1, dz1, gw2, g], axis=1)
+    parts = []
+    for inputs, delta in _layer_deltas(state.arch, state.theta, batch):
+        parts += [np.einsum("mi,mo->mio", inputs, delta).reshape(m, -1), delta]
+    return np.concatenate(parts, axis=1)
 
 
 def hessian_vector_product(
     state: ModelState, batch: Batch, v: np.ndarray
 ) -> np.ndarray:
-    """H v of the batch-mean loss, via (g(t+rv) - g(t-rv)) / 2r."""
+    """H v of the batch-mean loss, via (g(t+rv) - g(t-rv)) / 2r.
+
+    v is one direction (d,) or a stack of directions (K, d), one HVP per
+    row. Each row gets its own step r = 1e-5 / max(||row||, 1).
+    """
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != state.theta.shape:
-        raise StructuralError(
-            f"v has shape {v.shape}, expected {state.theta.shape}"
-        )
-    r = _HVP_DELTA / max(float(np.linalg.norm(v)), 1.0)
-    g_plus = mean_gradient(ModelState(state.arch, state.theta + r * v), batch)
-    g_minus = mean_gradient(ModelState(state.arch, state.theta - r * v), batch)
-    return (g_plus - g_minus) / (2.0 * r)
-
-
-def sgd_step(state: ModelState, g: np.ndarray, eta: float) -> ModelState:
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != state.theta.shape:
-        raise StructuralError(f"gradient shape {g.shape} != {state.theta.shape}")
-    if eta <= 0.0:
-        raise ParameterDomainError(f"learning rate must be > 0, got {eta}")
-    return ModelState(state.arch, state.theta - eta * g)
+    d = state.theta.shape[0]
+    if v.ndim not in (1, 2) or v.shape[-1] != d:
+        raise StructuralError(f"v has shape {v.shape}, expected ({d},) or (K, {d})")
+    _check_batch(state, batch)
+    rows = v.reshape(-1, d)
+    r = np.array([[_HVP_DELTA / max(float(np.linalg.norm(row)), 1.0)] for row in rows])
+    plus, minus = state.theta + r * rows, state.theta - r * rows
+    for theta in (*plus, *minus):
+        ModelState(state.arch, theta)  # a non-finite v raises NumericError
+    g_plus = _mean_gradient(state.arch, plus, batch)
+    g_minus = _mean_gradient(state.arch, minus, batch)
+    return ((g_plus - g_minus) / (2.0 * r)).reshape(v.shape)

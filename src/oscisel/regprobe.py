@@ -25,6 +25,10 @@ from .models import (
 )
 from .rng import subseed
 
+# Deviations per HVP call in the trace. It fixes the summation order, so it
+# is a constant; larger chunks measured slower (memory traffic, not calls).
+_TRACE_CHUNK = 2
+
 
 @dataclass(frozen=True)
 class RegEstimate:
@@ -51,77 +55,23 @@ def full_batch(dataset) -> Batch:
     )
 
 
-def _mean_gradients_multi(arch, thetas: np.ndarray, batch: Batch) -> np.ndarray:
-    """Batch-mean gradient at many parameter vectors at once.
-
-    Same arithmetic as models.mean_gradient, vectorized over a (K, d) stack
-    of thetas so the per-sample HVP sweep in the trace estimator is not
-    dominated by Python call overhead.
-    """
-    x = batch.inputs
-    n = x.shape[0]
-    k = thetas.shape[0]
-    if arch.kind == "quadratic":
-        resid = x @ thetas.T - batch.labels[:, None]  # (n, k)
-        return resid.T @ x / n
-    onehot_rows = np.arange(n)
-    if arch.kind == "logistic":
-        d, c = arch.d_in, arch.classes
-        w = thetas[:, : d * c].reshape(k, d, c)
-        b = thetas[:, d * c :]
-        scores = np.matmul(x, w) + b[:, None, :]  # (k, n, c)
-        scores -= scores.max(axis=2, keepdims=True)
-        g = np.exp(scores)
-        g /= g.sum(axis=2, keepdims=True)
-        g[:, onehot_rows, batch.labels] -= 1.0
-        gw = np.matmul(x.T, g) / n  # (k, d, c)
-        return np.concatenate([gw.reshape(k, -1), g.mean(axis=1)], axis=1)
-    d, h, c = arch.d_in, arch.hidden, arch.classes
-    o = 0
-    w1 = thetas[:, o : o + d * h].reshape(k, d, h); o += d * h
-    b1 = thetas[:, o : o + h]; o += h
-    w2 = thetas[:, o : o + h * c].reshape(k, h, c); o += h * c
-    b2 = thetas[:, o:]
-    z1 = np.matmul(x, w1) + b1[:, None, :]  # (k, n, h)
-    a1 = np.maximum(z1, 0.0)
-    scores = np.matmul(a1, w2) + b2[:, None, :]
-    scores -= scores.max(axis=2, keepdims=True)
-    g = np.exp(scores)
-    g /= g.sum(axis=2, keepdims=True)
-    g[:, onehot_rows, batch.labels] -= 1.0
-    dz1 = np.matmul(g, w2.transpose(0, 2, 1)) * (z1 > 0)
-    gw1 = np.matmul(x.T, dz1) / n
-    gw2 = np.matmul(a1.transpose(0, 2, 1), g) / n
-    return np.concatenate(
-        [gw1.reshape(k, -1), dz1.mean(axis=1), gw2.reshape(k, -1), g.mean(axis=1)],
-        axis=1,
-    )
-
-
-def gradient_covariance_trace_hc(
-    state: ModelState, batch: Batch, chunk: int = 2
-) -> float:
+def gradient_covariance_trace_hc(state: ModelState, batch: Batch) -> float:
     """Tr(H C) via one HVP quadratic form per sample deviation.
 
     Tr(HC) = 1/(N-1) * sum_i (g_i - gbar)^T H (g_i - gbar), with the
-    deviations taken from per-sample gradients over the full dataset. Each
-    H (g_i - gbar) uses the symmetric finite difference of the mean gradient;
-    the perturbed gradients are evaluated in chunks for speed.
+    deviations taken from per-sample gradients over the full dataset, and
+    H (g_i - gbar) the finite-difference HVP of the mean gradient, taken
+    _TRACE_CHUNK deviations per call.
     """
     n = batch.size
     if n < 2:
         raise EmptyDatasetError(f"covariance needs N >= 2, got {n}")
     grads = per_sample_gradients(state, batch)
     dev = grads - grads.mean(axis=0)
-    norms = np.maximum(np.linalg.norm(dev, axis=1), 1.0)
-    radii = 1e-5 / norms  # matches hessian_vector_product's step rule
     total = 0.0
-    for start in range(0, n, chunk):
-        block = dev[start : start + chunk]
-        r = radii[start : start + chunk, None]
-        g_plus = _mean_gradients_multi(state.arch, state.theta + r * block, batch)
-        g_minus = _mean_gradients_multi(state.arch, state.theta - r * block, batch)
-        hv = (g_plus - g_minus) / (2.0 * r)
+    for start in range(0, n, _TRACE_CHUNK):
+        block = dev[start : start + _TRACE_CHUNK]
+        hv = hessian_vector_product(state, batch, block)
         total += float(np.einsum("kd,kd->", block, hv))
     return total / (n - 1)
 
@@ -212,26 +162,3 @@ def verify_one_step_expansion(
         "gap_in_se": gap / mc_se if mc_se > 0.0 else 0.0,
         "trial_losses": losses,
     }
-
-
-def trace_r_over_training(
-    snapshots: list,
-    arch,
-    batch: Batch,
-    ratio_fn,
-    eta: float,
-    seed: int = 0,
-) -> list:
-    """R(p_t, theta_t) at each snapshot epoch (theta taken at epoch start).
-
-    snapshots: list of (epoch, theta) pairs as dumped by the trainer;
-    ratio_fn maps an epoch to its scheduled ratio.
-    """
-    if not snapshots:
-        raise EmptyDatasetError("no model snapshots available to probe")
-    series = []
-    for epoch, theta in snapshots:
-        state = ModelState(arch, theta)
-        p_t = ratio_fn(epoch)
-        series.append((epoch, estimate_r(state, batch, p_t, eta, seed=seed)))
-    return series

@@ -44,9 +44,7 @@ class LossMemory:
 
 @dataclass(frozen=True)
 class SelectedSubset:
-    epoch: int
     indices: np.ndarray  # sorted, distinct, int64
-    nominal_ratio: float
 
     @property
     def size(self) -> int:
@@ -60,7 +58,7 @@ def subset_size(p_t: float, n: int) -> int:
     return max(1, math.floor(p_t * n + 1e-9))
 
 
-def select_hard_mining(mem: LossMemory, p_t: float, epoch: int) -> SelectedSubset:
+def select_hard_mining(mem: LossMemory, p_t: float) -> SelectedSubset:
     """Top-m stored losses, ties broken by smaller index.
 
     Entries never scored are excluded from the ranking; if fewer than m
@@ -77,22 +75,16 @@ def select_hard_mining(mem: LossMemory, p_t: float, epoch: int) -> SelectedSubse
     if chosen.shape[0] < m:
         unscored = np.flatnonzero(mem.last_updated < 0)
         chosen = np.concatenate([chosen, unscored[: m - chosen.shape[0]]])
-    return SelectedSubset(
-        epoch=epoch, indices=np.sort(chosen).astype(np.int64), nominal_ratio=p_t
-    )
+    return SelectedSubset(np.sort(chosen).astype(np.int64))
 
 
-def select_random(
-    n: int, p_t: float, rng: PortableRNG, epoch: int = 0
-) -> SelectedSubset:
+def select_random(n: int, p_t: float, rng: PortableRNG) -> SelectedSubset:
     """Uniform subset without replacement, reproducible from the rng stream."""
     if n < 1:
         raise EmptyDatasetError(f"dataset size must be >= 1, got {n}")
     m = subset_size(p_t, n)
     idx = rng.sample_without_replacement(n, m)
-    return SelectedSubset(
-        epoch=epoch, indices=np.sort(idx), nominal_ratio=p_t
-    )
+    return SelectedSubset(np.sort(idx))
 
 
 def update_losses(
@@ -118,11 +110,11 @@ def update_losses(
 # External policies can register here; only these two ship.
 
 def _hard_mining_policy(mem, p_t, epoch, rng):
-    return select_hard_mining(mem, p_t, epoch)
+    return select_hard_mining(mem, p_t)
 
 
 def _random_policy(mem, p_t, epoch, rng):
-    return select_random(mem.n, p_t, rng, epoch=epoch)
+    return select_random(mem.n, p_t, rng)
 
 
 POLICIES = {

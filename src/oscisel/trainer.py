@@ -23,7 +23,15 @@ from .data import (
 )
 from .errors import ConfigError, EmptyDatasetError, ParameterDomainError
 from .ledger import BudgetLedger
-from .models import Arch, Batch, ModelState, init_state, loss_per_sample, mean_gradient
+from .models import (
+    Arch,
+    Batch,
+    ModelState,
+    init_state,
+    loss_per_sample,
+    mean_gradient,
+    predict,
+)
 from .regprobe import estimate_r, full_batch
 from .schedule import RatioTrajectory, constant_params, derive_params
 from .selection import POLICIES, LossMemory, update_losses
@@ -50,12 +58,26 @@ class RunConfig:
     probe_every: int = 0  # 0 disables R probing / snapshots
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "eval_every", "probe_every", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "target_ratio", "margin", "momentum"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.epochs < 1:
             raise ParameterDomainError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ParameterDomainError("batch_size must be >= 1")
         if self.learning_rate <= 0.0:
             raise ParameterDomainError("learning_rate must be > 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ParameterDomainError("momentum must be in [0, 1)")
+        if self.eval_every < 1:
+            raise ParameterDomainError("eval_every must be >= 1")
+        if self.probe_every < 0:
+            raise ParameterDomainError("probe_every must be >= 0 (0 disables)")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}")
         if self.schedule_mode not in ("oscillatory", "fixed"):
@@ -97,12 +119,57 @@ class TrainResult:
     snapshots: list = field(default_factory=list)  # (epoch, theta at epoch start)
 
 
-def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
-    spec = dict(cfg.dataset)
-    kind = spec.pop("kind", None)
-    seed_train = subseed(cfg.seed, "data.train")
-    seed_test = subseed(cfg.seed, "data.test")
-    label_noise = spec.pop("label_noise", 0.0)
+# kind -> (required keys, optional keys) of the config's "dataset" and
+# "model" objects, besides "kind" itself
+SPEC_KEYS = {
+    "dataset": {
+        "two_moons": ({"n_train", "n_test", "noise"}, {"label_noise"}),
+        "blobs": (
+            {"classes", "per_class", "spread"},
+            {"d_in", "test_per_class", "label_noise"},
+        ),
+        "gauss_linear": ({"n_train", "d_in"}, {"noise", "n_test", "label_noise"}),
+        "idx": (
+            {"images", "labels", "test_images", "test_labels"},
+            {"limit", "test_limit", "label_noise"},
+        ),
+        "osds": ({"train", "test"}, {"label_noise"}),
+    },
+    "model": {
+        "logistic": (set(), set()),
+        "mlp": ({"hidden"}, set()),
+        "quadratic": (set(), set()),
+    },
+}
+
+
+def check_keys(where: str, doc: dict, required: set, optional: set) -> None:
+    """Reject missing required keys, and keys neither required nor optional,
+    so that typos fail loudly."""
+    missing, unknown = required - set(doc), set(doc) - required - optional
+    if missing:
+        raise ConfigError(f"{where}: missing required keys: {sorted(missing)}")
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys: {sorted(unknown)}")
+
+
+def _check_spec(section: str, spec) -> str:
+    """The spec's kind, after checking its keys against SPEC_KEYS."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{section} must be an object, got {spec!r}")
+    kind = spec.get("kind")
+    if kind not in SPEC_KEYS[section]:
+        raise ConfigError(f"unknown {section} kind {kind!r}")
+    required, optional = SPEC_KEYS[section][kind]
+    check_keys(f"{section} {kind!r}", spec, required | {"kind"}, optional)
+    return kind
+
+
+def datasets_from_spec(spec: dict, seed: int) -> tuple[Dataset, Dataset]:
+    """Train and test splits of a config's "dataset" object."""
+    kind = _check_spec("dataset", spec)
+    seed_train = subseed(seed, "data.train")
+    seed_test = subseed(seed, "data.test")
     if kind == "two_moons":
         train = gen_two_moons(spec["n_train"], spec["noise"], seed_train, "train")
         test = gen_two_moons(spec["n_test"], spec["noise"], seed_test, "test")
@@ -124,32 +191,34 @@ def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
             spec.get("noise", 0.0), seed_test, "test",
         )
     elif kind == "idx":
-        train = load_idx(spec["images"], spec["labels"], spec.get("limit"))
-        test = load_idx(spec["test_images"], spec["test_labels"], spec.get("test_limit"))
-    elif kind == "osds":
+        train = load_idx(spec["images"], spec["labels"], spec.get("limit"), "train")
+        test = load_idx(
+            spec["test_images"], spec["test_labels"], spec.get("test_limit"), "test"
+        )
+    else:
         train = load_osds(spec["train"], "train")
         test = load_osds(spec["test"], "test")
-    else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
+    label_noise = spec.get("label_noise", 0.0)
     if label_noise:
-        train = inject_label_noise(train, label_noise, subseed(cfg.seed, "data.noise"))
+        train = inject_label_noise(train, label_noise, subseed(seed, "data.noise"))
     return train, test
 
 
+def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
+    return datasets_from_spec(cfg.dataset, cfg.seed)
+
+
 def build_model(cfg: RunConfig, train: Dataset) -> ModelState:
-    spec = dict(cfg.model)
-    kind = spec.get("kind")
+    kind = _check_spec("model", cfg.model)
     if kind == "quadratic":
         arch = Arch(kind="quadratic", d_in=train.d_in)
     elif kind == "logistic":
         arch = Arch(kind="logistic", d_in=train.d_in, classes=train.n_classes)
-    elif kind == "mlp":
+    else:
         arch = Arch(
-            kind="mlp", d_in=train.d_in, hidden=spec["hidden"],
+            kind="mlp", d_in=train.d_in, hidden=cfg.model["hidden"],
             classes=train.n_classes,
         )
-    else:
-        raise ConfigError(f"unknown model kind {kind!r}")
     return init_state(arch, PortableRNG(subseed(cfg.seed, "model_init")))
 
 
@@ -170,14 +239,11 @@ def evaluate(state: ModelState, test: Dataset) -> tuple[float, float | None]:
     loss = float(losses.mean())
     if not test.is_classification:
         return loss, None
-    from .models import _class_scores  # scores needed only for argmax
-
-    scores, _ = _class_scores(state, batch.inputs)
-    predictions = scores.argmax(axis=1)
-    return loss, float((predictions == test.labels).mean())
+    return loss, float((predict(state, batch) == test.labels).mean())
 
 
-def _epoch_lr(cfg: RunConfig, epoch: int) -> float:
+def epoch_lr(cfg: RunConfig, epoch: int) -> float:
+    """The learning rate of one epoch under cfg.lr_schedule."""
     if cfg.lr_schedule == "cosine":
         return cfg.learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.epochs))
     return cfg.learning_rate
@@ -205,7 +271,7 @@ def run_training(cfg: RunConfig) -> TrainResult:
         if probing:
             snapshots.append((epoch, state.theta.copy()))
             r_estimate = estimate_r(
-                state, probe_batch, p_t, _epoch_lr(cfg, epoch), seed=cfg.seed
+                state, probe_batch, p_t, epoch_lr(cfg, epoch), seed=cfg.seed
             ).value
 
         # epoch 0 has no recorded losses yet: random cold start
@@ -214,7 +280,7 @@ def run_training(cfg: RunConfig) -> TrainResult:
 
         order = subset.indices.copy()
         rng_shuffle.shuffle(order)
-        eta = _epoch_lr(cfg, epoch)
+        eta = epoch_lr(cfg, epoch)
         loss_sum = 0.0
         for start in range(0, order.shape[0], cfg.batch_size):
             idx = order[start : start + cfg.batch_size]

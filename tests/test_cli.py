@@ -210,3 +210,73 @@ def test_config_invalid_is_usage_exit(tmp_path, capsys):
     doc = base_config(tmp_path / "run")
     del doc["epochs"]
     assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 1
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"eval_every": 0}, {"probe_every": -1}, {"momentum": -0.5},
+     {"momentum": 1.0}, {"epochs": 2.5}, {"batch_size": "32"},
+     {"seed": True}, {"learning_rate": "0.5"}],
+    ids=["eval_every=0", "probe_every=-1", "momentum=-0.5", "momentum=1",
+         "epochs=2.5", "batch_size=str", "seed=bool", "learning_rate=str"],
+)
+def test_bad_run_values_are_usage_errors(tmp_path, capsys, overrides):
+    doc = base_config(tmp_path / "run", **overrides)
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"dataset": {"kind": "two_moons", "n_train": 120, "n_test": 60,
+                     "noise": 0.2, "bogus": 1}},
+        {"dataset": {"kind": "two_moons", "n_train": 120, "noise": 0.2}},
+        {"dataset": {"kind": "gauss_linear", "d_in": 3}},
+        {"dataset": {"kind": "nope"}},
+        {"dataset": ["two_moons"]},
+        {"model": {"kind": "mlp", "hidden": 8, "bogus": 1}},
+        {"model": {"kind": "mlp"}},
+        {"model": {"kind": "logistic", "hidden": 8}},
+    ],
+    ids=["dataset-unknown-key", "dataset-missing-n_test",
+         "dataset-missing-n_train", "dataset-unknown-kind", "dataset-not-object",
+         "model-unknown-key", "model-missing-hidden", "model-extra-hidden"],
+)
+def test_bad_dataset_and_model_keys_are_usage_errors(tmp_path, capsys, overrides):
+    doc = base_config(tmp_path / "run", **overrides)
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_optional_dataset_keys_take_defaults(tmp_path):
+    for dataset in (
+        {"kind": "blobs", "classes": 2, "per_class": 20, "spread": 0.3},
+        {"kind": "gauss_linear", "n_train": 40, "d_in": 3},
+    ):
+        model = {"kind": "quadratic" if dataset["kind"] == "gauss_linear"
+                 else "logistic"}
+        doc = base_config(tmp_path / dataset["kind"], dataset=dataset, model=model)
+        path = write_config(tmp_path, doc, f"{dataset['kind']}.json")
+        assert main(["run", "--config", str(path)]) == 0
+
+
+def test_probe_uses_the_epoch_learning_rate(tmp_path):
+    doc = base_config(tmp_path / "run", epochs=3, lr_schedule="cosine",
+                      probe_every=1,
+                      dataset={"kind": "two_moons", "n_train": 60, "n_test": 30,
+                               "noise": 0.2})
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 0
+    metrics = [json.loads(line) for line in
+               (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()]
+    ratios = sorted({m["p_t"] for m in metrics})
+    assert len(ratios) == 2  # the low and the high phase
+    doc["out_dir"] = str(tmp_path / "probe")
+    cfg = write_config(tmp_path, doc, "probe.json")
+    assert main(["probe", "--config", str(cfg),
+                 "--p", ",".join(repr(p) for p in ratios)]) == 0
+    rows = [json.loads(line) for line in
+            (tmp_path / "probe" / "regprobe.jsonl").read_text().splitlines()]
+    for m in metrics:
+        row = next(r for r in rows if r["epoch"] == m["epoch"] and r["p"] == m["p_t"])
+        assert row["R"] == pytest.approx(m["R_estimate"], rel=1e-12)

@@ -14,6 +14,7 @@ from oscisel.data import (
     IDX_MAGIC_LABELS,
 )
 from oscisel.errors import FormatError, ParameterDomainError
+from oscisel.trainer import datasets_from_spec
 
 
 def test_two_moons_counts_and_balance():
@@ -120,6 +121,24 @@ def test_idx_limit_prefix(tmp_path):
     ds = load_idx(img, lbl, limit=3)
     assert ds.n == 3
     assert np.array_equal(ds.labels, [0, 1, 2])
+
+
+def test_idx_split_label(tmp_path):
+    images = np.arange(4 * 2 * 2, dtype=np.uint8).reshape(4, 2, 2)
+    labels = np.array([0, 1, 2, 1], dtype=np.uint8)
+    (tmp_path / "train").mkdir()
+    (tmp_path / "test").mkdir()
+    img, lbl = write_idx_pair(tmp_path / "train", images, labels)
+    test_img, test_lbl = write_idx_pair(tmp_path / "test", images[:2], labels[:2])
+    assert load_idx(img, lbl).split == "train"
+    assert load_idx(img, lbl, split="test").split == "test"
+    train, test = datasets_from_spec(
+        {"kind": "idx", "images": str(img), "labels": str(lbl),
+         "test_images": str(test_img), "test_labels": str(test_lbl)},
+        seed=0,
+    )
+    assert (train.split, train.n) == ("train", 4)
+    assert (test.split, test.n) == ("test", 2)
 
 
 def test_idx_bad_magic(tmp_path):

@@ -83,15 +83,6 @@ def test_summary_empty_error():
         BudgetLedger(n=10, target_ratio=0.5).summary()
 
 
-def test_scoring_overhead_separate():
-    ledger = BudgetLedger(n=100, target_ratio=0.5)
-    ledger.record_epoch(0, 10)
-    ledger.add_scoring_passes(100)
-    summary = ledger.summary()
-    assert summary["total_passes"] == 10
-    assert summary["scoring_overhead_passes"] == 100
-
-
 @pytest.mark.parametrize("n", [20, 1000])
 @pytest.mark.parametrize("p,eps", [(0.1, 0.05), (0.3, 0.05), (0.5, 0.05), (0.7, 0.1), (0.9, 0.05)])
 def test_schedule_plus_floor_sizing_never_violates(n, p, eps):

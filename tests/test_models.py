@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oscisel.errors import NumericError, ParameterDomainError, StructuralError
+from oscisel.errors import NumericError, StructuralError
 from oscisel.models import (
     Arch,
     Batch,
@@ -12,7 +12,6 @@ from oscisel.models import (
     mean_gradient,
     mean_loss,
     per_sample_gradients,
-    sgd_step,
 )
 from oscisel.rng import PortableRNG
 
@@ -191,16 +190,6 @@ def test_loss_non_negative(arch):
         assert np.all(loss_per_sample(state, batch) >= 0.0)
 
 
-def test_sgd_step_arithmetic():
-    state = ModelState(Arch("quadratic", 2), np.array([1.0, 1.0]))
-    stepped = sgd_step(state, np.array([1.0, -1.0]), 0.1)
-    assert stepped.theta == pytest.approx([0.9, 1.1])
-    assert sgd_step(state, np.zeros(2), 0.1).theta == pytest.approx([1.0, 1.0])
-    twice = sgd_step(sgd_step(state, np.array([1.0, -1.0]), 0.1),
-                     np.array([1.0, -1.0]), 0.1)
-    assert twice.theta == pytest.approx([0.8, 1.2])
-
-
 def test_mlp_init_scale_and_determinism():
     arch = Arch("mlp", 9, hidden=4, classes=2)
     a = init_state(arch, PortableRNG(11))
@@ -227,5 +216,33 @@ def test_structural_and_numeric_errors():
         hessian_vector_product(state, Batch(np.zeros((1, 3)),
                                             np.array([0]), np.array([0])),
                                np.zeros(0))
-    with pytest.raises(ParameterDomainError):
-        sgd_step(state, np.zeros(arch.param_count), 0.0)
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.kind)
+def test_stacked_hvp_equals_one_vector_calls(arch):
+    rng = np.random.default_rng(21)
+    state, batch = random_instance(arch, rng)
+    d = arch.param_count
+    # a zero row, and norms 1e-3 .. 1e3 apart, so each row needs its own step
+    vs = np.stack([np.zeros(d), 1e-3 * rng.normal(size=d),
+                   rng.normal(size=d), 1e3 * rng.normal(size=d)])
+    stacked = hessian_vector_product(state, batch, vs)
+    assert stacked.shape == vs.shape
+    for v, hv in zip(vs, stacked):
+        single = hessian_vector_product(state, batch, v)
+        assert np.allclose(hv, single, rtol=1e-10, atol=1e-10 * np.abs(single).max())
+
+
+def test_stacked_hvp_errors():
+    arch = Arch("mlp", 3, hidden=4, classes=2)
+    state = ModelState(arch, np.zeros(arch.param_count))
+    batch = Batch(np.zeros((2, 3)), np.array([0, 1]), np.arange(2))
+    d = arch.param_count
+    with pytest.raises(StructuralError):
+        hessian_vector_product(state, batch, np.zeros((2, d + 1)))
+    with pytest.raises(StructuralError):
+        hessian_vector_product(state, batch, np.zeros((2, 2, d)))
+    bad = np.ones((3, d))
+    bad[1, 0] = np.nan
+    with pytest.raises(NumericError):
+        hessian_vector_product(state, batch, bad)

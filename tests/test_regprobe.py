@@ -15,7 +15,6 @@ from oscisel.regprobe import (
     full_batch,
     gradient_covariance_trace_hc,
     lambda_factor,
-    trace_r_over_training,
     verify_one_step_expansion,
 )
 
@@ -147,17 +146,3 @@ def test_one_step_domain_errors():
         verify_one_step_expansion(state, batch, 0.001, 0.01, 10)
     with pytest.raises(ParameterDomainError):
         verify_one_step_expansion(state, batch, 1.2, 0.01, 10)
-
-
-def test_trace_r_over_training_series():
-    state, batch = quadratic_setup(n=60, d=4, seed=14)
-    snaps = [(0, state.theta), (1, state.theta * 0.5), (2, state.theta * 0.1)]
-    ratios = {0: 0.05, 1: 0.95, 2: 0.05}
-    series = trace_r_over_training(
-        snaps, state.arch, batch, lambda e: ratios[e], eta=0.1
-    )
-    assert [epoch for epoch, _ in series] == [0, 1, 2]
-    # lambda jump dominates: same theta scale ordering low >> high
-    assert series[0][1].value > series[1][1].value
-    with pytest.raises(EmptyDatasetError):
-        trace_r_over_training([], state.arch, batch, lambda e: 0.5, eta=0.1)

@@ -23,19 +23,19 @@ def scored_memory(values, epoch=0):
 
 def test_hard_mining_example():
     mem = scored_memory([0.1, 0.9, 0.5, 0.7])
-    subset = select_hard_mining(mem, 0.5, epoch=1)
+    subset = select_hard_mining(mem, 0.5)
     assert subset.indices.tolist() == [1, 3]
 
 
 def test_hard_mining_tie_break_by_index():
     mem = scored_memory([0.4, 0.4, 0.4, 0.4])
-    subset = select_hard_mining(mem, 0.5, epoch=1)
+    subset = select_hard_mining(mem, 0.5)
     assert subset.indices.tolist() == [0, 1]
 
 
 def test_hard_mining_floor_sizing():
     mem = scored_memory([0.1, 0.9, 0.5, 0.7])
-    subset = select_hard_mining(mem, 0.95, epoch=1)
+    subset = select_hard_mining(mem, 0.95)
     assert subset.indices.tolist() == [1, 2, 3]  # floor(3.8) = 3
 
 
@@ -46,7 +46,7 @@ def test_hard_mining_matches_sort_oracle():
         values = rng.random(n)
         p_t = float(rng.uniform(0.05, 1.0))
         mem = scored_memory(values)
-        subset = select_hard_mining(mem, p_t, epoch=0)
+        subset = select_hard_mining(mem, p_t)
         m = max(1, int(np.floor(p_t * n + 1e-9)))
         # stable descending sort oracle: (value desc, index asc)
         oracle = sorted(range(n), key=lambda i: (-values[i], i))[:m]
@@ -55,7 +55,7 @@ def test_hard_mining_matches_sort_oracle():
 
 def test_cardinality_monotone_in_ratio():
     mem = scored_memory(np.random.default_rng(0).random(57))
-    sizes = [select_hard_mining(mem, p, 0).size for p in np.linspace(0.02, 1.0, 50)]
+    sizes = [select_hard_mining(mem, p).size for p in np.linspace(0.02, 1.0, 50)]
     assert sizes == sorted(sizes)
     assert sizes[-1] == 57
 
@@ -64,14 +64,14 @@ def test_unscored_excluded_until_first_scored():
     mem = LossMemory.empty(6)
     mem = update_losses(mem, [0, 1, 2], [0.1, 0.9, 0.5], epoch=0)
     # m=3 with exactly three scored entries: unscored 3..5 never outrank them
-    assert select_hard_mining(mem, 0.5, epoch=1).indices.tolist() == [0, 1, 2]
+    assert select_hard_mining(mem, 0.5).indices.tolist() == [0, 1, 2]
     # m=4 exceeds the scored count: lowest unscored index pads the subset
-    assert select_hard_mining(mem, 0.7, epoch=1).indices.tolist() == [0, 1, 2, 3]
+    assert select_hard_mining(mem, 0.7).indices.tolist() == [0, 1, 2, 3]
 
 
 def test_empty_memory_error():
     with pytest.raises(EmptyDatasetError):
-        select_hard_mining(LossMemory.empty(0), 0.5, 0)
+        select_hard_mining(LossMemory.empty(0), 0.5)
 
 
 def test_select_random_full_ratio():
