@@ -13,6 +13,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -149,24 +150,23 @@ def _cmd_run(args) -> int:
 def _cmd_probe(args) -> int:
     loaded = load_config(args.config)
     ratios = _parse_ratio_list(args.p)
+    bad = [p for p in ratios if not 0.0 < p < 1.0]
+    if bad:
+        raise ParameterDomainError(f"--p values must be in (0, 1), got {bad}")
     cfg = loaded.run
     if cfg.probe_every == 0:
-        from dataclasses import replace
-
         cfg = replace(cfg, probe_every=1)
     result = run_training(cfg)
-    train, _ = build_datasets(cfg)
-    batch = full_batch(train)
-    from .models import ModelState
+    n = result.ledger.n
 
     loaded.out_dir.mkdir(parents=True, exist_ok=True)
     with open(loaded.out_dir / "regprobe.jsonl", "w") as f:
         for p in ratios:
-            for epoch, theta in result.snapshots:
+            # one Tr(HC) per snapshot, from the run; only (1-p)/p varies with p
+            for epoch, _, trace_hc in result.snapshots:
                 # the epoch's learning rate, as in the run's own R_estimate
                 est = estimate_r(
-                    ModelState(result.final_state.arch, theta),
-                    batch, p, epoch_lr(cfg, epoch), seed=cfg.seed,
+                    trace_hc, n, p, epoch_lr(cfg, epoch), seed=cfg.seed
                 )
                 f.write(
                     _json_line(

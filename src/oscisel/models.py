@@ -228,8 +228,8 @@ def hessian_vector_product(
     rows = v.reshape(-1, d)
     r = np.array([[_HVP_DELTA / max(float(np.linalg.norm(row)), 1.0)] for row in rows])
     plus, minus = state.theta + r * rows, state.theta - r * rows
-    for theta in (*plus, *minus):
-        ModelState(state.arch, theta)  # a non-finite v raises NumericError
+    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
+        raise NumericError("theta contains non-finite entries")  # as ModelState
     g_plus = _mean_gradient(state.arch, plus, batch)
     g_minus = _mean_gradient(state.arch, minus, batch)
     return ((g_plus - g_minus) / (2.0 * r)).reshape(v.shape)

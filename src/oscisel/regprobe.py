@@ -34,7 +34,7 @@ _TRACE_CHUNK = 2
 class RegEstimate:
     p: float
     trace_hc: float
-    lam: float  # (1-p)/p
+    lam: float  # (1-p)/p, 0 at p = 1
     value: float  # eta^2/(2N) * lam * trace_hc
     probes: int
     seed: int
@@ -77,20 +77,24 @@ def gradient_covariance_trace_hc(state: ModelState, batch: Batch) -> float:
 
 
 def estimate_r(
-    state: ModelState, batch: Batch, p: float, eta: float, seed: int = 0
+    trace_hc: float, n: int, p: float, eta: float, seed: int = 0
 ) -> RegEstimate:
+    """R = eta^2/(2N) * (1-p)/p * Tr(HC), from a trace already computed.
+
+    Tr(HC) does not depend on p, so one trace serves every ratio. At p = 1
+    (full data) every step is the full-batch step and R is 0.
+    """
     if eta <= 0.0:
         raise ParameterDomainError(f"eta must be > 0, got {eta}")
-    lam = lambda_factor(p)
-    trace_hc = gradient_covariance_trace_hc(state, batch)
-    n = batch.size
+    if n < 1:
+        raise ParameterDomainError(f"n must be >= 1, got {n}")
+    if p == 1.0:
+        lam = value = 0.0
+    else:
+        lam = lambda_factor(p)
+        value = eta**2 / (2.0 * n) * lam * trace_hc
     return RegEstimate(
-        p=p,
-        trace_hc=trace_hc,
-        lam=lam,
-        value=eta**2 / (2.0 * n) * lam * trace_hc,
-        probes=n,
-        seed=seed,
+        p=p, trace_hc=trace_hc, lam=lam, value=value, probes=n, seed=seed
     )
 
 
@@ -125,12 +129,9 @@ def verify_one_step_expansion(
     deterministic = (
         loss0 - eta * float(grad @ grad) + 0.5 * eta**2 * float(grad @ hg)
     )
-    if p < 1.0:
-        reg = estimate_r(state, batch, p, eta, seed=seed)
-        lam, trace_hc, r_term = reg.lam, reg.trace_hc, reg.value
-    else:  # full-data limit: deterministic step, no subsampling penalty
-        lam, r_term = 0.0, 0.0
-        trace_hc = gradient_covariance_trace_hc(state, batch)
+    reg = estimate_r(
+        gradient_covariance_trace_hc(state, batch), n, p, eta, seed=seed
+    )
 
     grads = per_sample_gradients(state, batch)
     losses = np.empty(trials)
@@ -143,7 +144,7 @@ def verify_one_step_expansion(
 
     mc_mean = float(losses.mean())
     mc_se = float(losses.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    prediction = deterministic + r_term
+    prediction = deterministic + reg.value
     gap = mc_mean - prediction
     return {
         "p": p,
@@ -154,9 +155,9 @@ def verify_one_step_expansion(
         "mc_mean": mc_mean,
         "mc_se": mc_se,
         "deterministic_part": deterministic,
-        "r_term": r_term,
-        "trace_hc": trace_hc,
-        "lambda": lam,
+        "r_term": reg.value,
+        "trace_hc": reg.trace_hc,
+        "lambda": reg.lam,
         "prediction": prediction,
         "gap": gap,
         "gap_in_se": gap / mc_se if mc_se > 0.0 else 0.0,

@@ -32,6 +32,7 @@ from .models import (
     mean_gradient,
     predict,
 )
+from . import regprobe
 from .regprobe import estimate_r, full_batch
 from .schedule import RatioTrajectory, constant_params, derive_params
 from .selection import POLICIES, LossMemory, update_losses
@@ -116,7 +117,8 @@ class TrainResult:
     final_state: ModelState
     ledger: BudgetLedger
     loss_memory: LossMemory
-    snapshots: list = field(default_factory=list)  # (epoch, theta at epoch start)
+    # (epoch, theta at epoch start, Tr(HC) at that theta) per probed epoch
+    snapshots: list = field(default_factory=list)
 
 
 # kind -> (required keys, optional keys) of the config's "dataset" and
@@ -269,9 +271,12 @@ def run_training(cfg: RunConfig) -> TrainResult:
         probing = cfg.probe_every > 0 and epoch % cfg.probe_every == 0
         r_estimate = None
         if probing:
-            snapshots.append((epoch, state.theta.copy()))
+            # looked up on the module at each call, so that oscibench's span
+            # tracer, which patches regprobe's globals, counts these traces
+            trace_hc = regprobe.gradient_covariance_trace_hc(state, probe_batch)
+            snapshots.append((epoch, state.theta.copy(), trace_hc))
             r_estimate = estimate_r(
-                state, probe_batch, p_t, epoch_lr(cfg, epoch), seed=cfg.seed
+                trace_hc, train.n, p_t, epoch_lr(cfg, epoch), seed=cfg.seed
             ).value
 
         # epoch 0 has no recorded losses yet: random cold start

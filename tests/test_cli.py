@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import oscisel.cli
+import oscisel.regprobe
 from oscisel.cli import main
 from oscisel.config import load_config, parse_config
 from oscisel.errors import ConfigError
@@ -187,6 +189,41 @@ def test_probe_subcommand(tmp_path):
     ]
     assert len(records) == 6  # 2 ratios x 3 epochs
     assert {r["p"] for r in records} == {0.05, 0.95}
+
+
+def test_probe_computes_one_trace_per_snapshot(tmp_path, monkeypatch):
+    calls = []
+    trace = oscisel.regprobe.gradient_covariance_trace_hc
+
+    def counting(state, batch):
+        calls.append(state)
+        return trace(state, batch)
+
+    monkeypatch.setattr(oscisel.regprobe, "gradient_covariance_trace_hc", counting)
+    doc = base_config(tmp_path / "probe", epochs=3,
+                      dataset={"kind": "two_moons", "n_train": 60, "n_test": 30,
+                               "noise": 0.2})
+    cfg = write_config(tmp_path, doc)
+    assert main(["probe", "--config", str(cfg), "--p", "0.05,0.95"]) == 0
+    assert len(calls) == 3  # 3 snapshots, not 3 x (1 + 2 ratios)
+    rows = [json.loads(line) for line in
+            (tmp_path / "probe" / "regprobe.jsonl").read_text().splitlines()]
+    by_p = {p: [r["trace_HC"] for r in rows if r["p"] == p] for p in (0.05, 0.95)}
+    assert by_p[0.05] == by_p[0.95]  # bit-equal: Tr(HC) does not depend on p
+    assert len(set(by_p[0.05])) == 3
+
+
+@pytest.mark.parametrize("ratios", ["0.5,1.5", "0.0", "1.0", "nan"])
+def test_probe_rejects_bad_ratios_before_training(tmp_path, monkeypatch, capsys,
+                                                   ratios):
+    def no_training(cfg):
+        raise AssertionError("run_training called")
+
+    monkeypatch.setattr(oscisel.cli, "run_training", no_training)
+    cfg = write_config(tmp_path, base_config(tmp_path / "probe"))
+    assert main(["probe", "--config", str(cfg), "--p", ratios]) == 1
+    assert "(0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "probe" / "regprobe.jsonl").exists()
 
 
 def test_config_unknown_key_rejected(tmp_path):

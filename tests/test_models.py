@@ -246,3 +246,12 @@ def test_stacked_hvp_errors():
     bad[1, 0] = np.nan
     with pytest.raises(NumericError):
         hessian_vector_product(state, batch, bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_hvp_non_finite_direction_message(value):
+    state = ModelState(Arch("quadratic", 3), np.zeros(3))
+    batch = Batch(np.ones((2, 3)), np.zeros(2), np.arange(2))
+    for v in (np.array([1.0, value, 0.0]), np.array([[1.0, 0, 0], [0, value, 0]])):
+        with pytest.raises(NumericError, match="^theta contains non-finite entries$"):
+            hessian_vector_product(state, batch, v)

@@ -4,6 +4,7 @@ import pytest
 from oscisel.data import gen_blobs, gen_two_moons
 from oscisel.errors import EmptyDatasetError
 from oscisel.models import Batch, ModelState, loss_per_sample, mean_gradient
+from oscisel.regprobe import estimate_r, full_batch, gradient_covariance_trace_hc
 from oscisel.rng import PortableRNG, subseed
 from oscisel.schedule import RatioTrajectory, constant_params
 from oscisel.trainer import (
@@ -147,10 +148,34 @@ def test_eval_every_skips_epochs():
 
 
 def test_probe_every_populates_r_estimates():
-    result = run_training(moons_config(epochs=4, probe_every=2))
+    cfg = moons_config(epochs=4, probe_every=2)
+    result = run_training(cfg)
     probed = [m for m in result.metrics if m.R_estimate is not None]
     assert [m.epoch for m in probed] == [0, 2]
-    assert [e for e, _ in result.snapshots] == [0, 2]
+    assert [e for e, _, _ in result.snapshots] == [0, 2]
+    n = build_datasets(cfg)[0].n
+    for m, (_, _, trace_hc) in zip(probed, result.snapshots):
+        assert m.R_estimate == estimate_r(trace_hc, n, m.p_t, cfg.learning_rate).value
+
+
+def test_snapshot_trace_is_the_trace_at_its_theta():
+    cfg = moons_config(epochs=3, probe_every=1)
+    result = run_training(cfg)
+    train, _ = build_datasets(cfg)
+    arch = result.final_state.arch
+    for _, theta, trace_hc in result.snapshots:
+        state = ModelState(arch, theta)
+        assert trace_hc == gradient_covariance_trace_hc(state, full_batch(train))
+
+
+def test_full_data_run_probes_r_zero():
+    # target_ratio 1 with a fixed schedule trains on all data every epoch
+    result = run_training(
+        moons_config(epochs=2, target_ratio=1.0, schedule_mode="fixed", probe_every=1)
+    )
+    assert [m.p_t for m in result.metrics] == [1.0, 1.0]
+    assert [m.R_estimate for m in result.metrics] == [0.0, 0.0]
+    assert all(trace_hc > 0.0 for _, _, trace_hc in result.snapshots)
 
 
 def test_evaluate_zero_logistic_uniform():
