@@ -26,7 +26,12 @@ from .errors import (
     InfeasibleScheduleError,
     ParameterDomainError,
 )
-from .regprobe import estimate_r, full_batch, verify_one_step_expansion
+from .regprobe import (
+    estimate_r,
+    full_batch,
+    trial_subset_size,
+    verify_one_step_expansion,
+)
 from .schedule import RatioTrajectory, derive_params
 from .trainer import (
     SPEC_KEYS,
@@ -184,8 +189,12 @@ def _cmd_probe(args) -> int:
 def _cmd_verify(args) -> int:
     loaded = load_config(args.config)
     ratios = _parse_ratio_list(args.p)
+    if args.trials < 1:
+        raise ParameterDomainError(f"--trials must be >= 1, got {args.trials}")
     cfg = loaded.run
     train, _ = build_datasets(cfg)
+    for p in ratios:  # all of them, before regprobe.jsonl is opened
+        trial_subset_size(p, train.n)
     state = build_model(cfg, train)
     batch = full_batch(train)
     loaded.out_dir.mkdir(parents=True, exist_ok=True)

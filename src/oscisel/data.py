@@ -22,6 +22,7 @@ IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
 OSDS_MAGIC = b"OSDS"
 OSDS_VERSION = 1
+_NOISE_ROWS = 4096  # two_moons rows per block of noise draws
 
 
 @dataclass(frozen=True)
@@ -73,16 +74,16 @@ def gen_blobs(
     n = classes * per_class
     inputs = np.zeros((n, d_in))
     labels = np.zeros(n, dtype=np.int64)
-    row = 0
     for j in range(classes):
         angle = 2.0 * math.pi * j / classes
         mean = np.zeros(d_in)
         mean[0] = math.cos(angle)
         mean[1] = math.sin(angle)
-        for _ in range(per_class):
-            inputs[row] = mean + spread * rng.normals(d_in)
-            labels[row] = j
-            row += 1
+        rows = slice(j * per_class, (j + 1) * per_class)
+        inputs[rows] = mean + spread * rng.normals(per_class * d_in).reshape(
+            per_class, d_in
+        )
+        labels[rows] = j
     prov = {
         "generator": "blobs", "seed": seed, "classes": classes,
         "per_class": per_class, "d_in": d_in, "spread": spread,
@@ -112,9 +113,11 @@ def gen_two_moons(n: int, noise: float, seed: int, split: str = "train") -> Data
     inputs[n0:, 1] = 0.5 - np.sin(t1)
     labels[n0:] = 1
     if noise > 0.0:
-        for i in range(n):
-            inputs[i, 0] += noise * rng.normal()
-            inputs[i, 1] += noise * rng.normal()
+        # row-major draws: x then y noise of row 0, then of row 1, ...; in
+        # chunks, so no 2n-long draw is held at once
+        for start in range(0, n, _NOISE_ROWS):
+            rows = inputs[start : start + _NOISE_ROWS]
+            rows += noise * rng.normals(rows.size).reshape(rows.shape)
     prov = {
         "generator": "two_moons", "seed": seed, "n": n,
         "noise": noise, "classes": 2,
@@ -154,9 +157,10 @@ def inject_label_noise(ds: Dataset, rate: float, seed: int) -> Dataset:
     flip = rng.sample_without_replacement(ds.n, n_flip)
     classes = ds.n_classes
     labels = ds.labels.copy()
-    for i in np.sort(flip):
-        offset = 1 + rng.below(classes - 1)
-        labels[i] = (labels[i] + offset) % classes
+    # in ascending index order, row i moves up by 1 + below(classes - 1)
+    flip = np.sort(flip)
+    offsets = np.fromiter(rng.belows([classes - 1] * n_flip), np.int64, n_flip)
+    labels[flip] = (labels[flip] + 1 + offsets) % classes
     prov = dict(ds.provenance)
     prov["label_noise"] = {"rate": rate, "seed": seed, "flipped": int(n_flip)}
     return replace(ds, labels=labels, provenance=prov)

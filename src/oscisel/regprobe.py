@@ -98,6 +98,19 @@ def estimate_r(
     )
 
 
+def trial_subset_size(p: float, n: int) -> int:
+    """floor(pN), the subset size of verify_one_step_expansion's trials.
+
+    ParameterDomainError unless p is in (0, 1] and the size in [1, N].
+    """
+    if not 0.0 < p <= 1.0:
+        raise ParameterDomainError(f"p must be in (0, 1], got {p}")
+    m = math.floor(p * n + 1e-9)
+    if not 1 <= m <= n:
+        raise ParameterDomainError(f"subset size {m} outside [1, {n}] for p={p}")
+    return m
+
+
 def verify_one_step_expansion(
     state: ModelState,
     batch: Batch,
@@ -117,9 +130,7 @@ def verify_one_step_expansion(
     cross-p comparisons paired through nested subset prefixes).
     """
     n = batch.size
-    m = math.floor(p * n + 1e-9)
-    if not 1 <= m <= n:
-        raise ParameterDomainError(f"subset size {m} outside [1, {n}] for p={p}")
+    m = trial_subset_size(p, n)
     if trials < 1:
         raise ParameterDomainError("trials must be >= 1")
 

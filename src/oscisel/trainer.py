@@ -2,9 +2,9 @@
 
 Each epoch: get the scheduled ratio, pick a subset (random cold start at
 epoch 0 for hard mining), shuffle it, run mini-batch SGD, and record the
-pre-update forward losses into the loss memory so scoring costs no extra
-passes. Everything is driven by labeled sub-streams of the single run seed,
-so a fixed config is bit-reproducible.
+pre-update forward losses into the loss memory, once per epoch, so scoring
+costs no extra passes. Everything is driven by labeled sub-streams of the
+single run seed, so a fixed config is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -287,19 +287,26 @@ def run_training(cfg: RunConfig) -> TrainResult:
         rng_shuffle.shuffle(order)
         eta = epoch_lr(cfg, epoch)
         loss_sum = 0.0
+        # pre-update forward losses of the epoch, aligned with order; the
+        # memory takes them in one update after the last step, which is the
+        # same memory as one update per minibatch, since selection reads it
+        # only between epochs and order holds distinct indices
+        epoch_losses = np.empty(order.shape[0])
         for start in range(0, order.shape[0], cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+            stop = start + cfg.batch_size
+            idx = order[start:stop]
             batch = Batch(
                 inputs=train.inputs[idx], labels=train.labels[idx], indices=idx
             )
-            losses = loss_per_sample(state, batch)  # pre-update forward losses
-            memory = update_losses(memory, idx, losses, epoch)
+            losses = loss_per_sample(state, batch)
+            epoch_losses[start:stop] = losses
             loss_sum += float(losses.sum())
             g = mean_gradient(state, batch)
             if cfg.momentum > 0.0:
                 velocity = cfg.momentum * velocity + g
                 g = velocity
             state = ModelState(state.arch, state.theta - eta * g)
+        memory = update_losses(memory, order, epoch_losses, epoch)
 
         ledger.record_epoch(epoch, subset.size)
         cumulative = ledger.total_passes() / ((epoch + 1) * train.n)

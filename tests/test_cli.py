@@ -226,6 +226,26 @@ def test_probe_rejects_bad_ratios_before_training(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "probe" / "regprobe.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [["--p", "0.5,1.5"], ["--p", "0.5,0.005"], ["--p", "nan"],
+              ["--p", "0.0"], ["--p", "0.5", "--trials", "0"]],
+)
+def test_verify_rejects_bad_arguments_before_writing(tmp_path, monkeypatch, flags):
+    def no_verify(*args, **kwargs):
+        raise AssertionError("verify_one_step_expansion called")
+
+    monkeypatch.setattr(oscisel.cli, "verify_one_step_expansion", no_verify)
+    # 100 rows: p = 0.005 selects floor(0.5) = 0 of them
+    doc = base_config(
+        tmp_path / "verify",
+        dataset={"kind": "gauss_linear", "n_train": 100, "d_in": 2},
+        model={"kind": "quadratic"},
+    )
+    cfg = write_config(tmp_path, doc)
+    assert main(["verify", "--config", str(cfg), *flags]) == 1
+    assert not (tmp_path / "verify" / "regprobe.jsonl").exists()
+
+
 def test_config_unknown_key_rejected(tmp_path):
     doc = base_config(tmp_path / "run", typo_key=1)
     with pytest.raises(ConfigError, match="unknown keys"):

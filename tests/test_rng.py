@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from oscisel.rng import PortableRNG, subseed
 
@@ -48,3 +49,130 @@ def test_subseed_label_separation():
     assert subseed(0, "a") != subseed(0, "b")
     assert subseed(0, "a") != subseed(1, "a")
     assert subseed(7, "data.train") == subseed(7, "data.train")
+
+
+# Known answers of the portable stream. They pin the algorithm, not just its
+# determinism: any rewrite of PortableRNG must reproduce these values exactly.
+# The trailing next_u64 after each call pins the state it leaves behind.
+
+def test_known_answer_next_u64():
+    expected = {
+        0: [
+            0x99EC5F36CB75F2B4, 0xBF6E1F784956452A, 0x1A5F849D4933E6E0,
+            0x6AA594F1262D2D2C, 0xBBA5AD4A1F842E59, 0xFFEF8375D9EBCACA,
+            0x6C160DEED2F54C98, 0x8920AD648FC30A3F,
+        ],
+        2**64 - 1: [
+            0x8F5520D52A7EAD08, 0xC476A018CAA1802D, 0x81DE31C0D260469E,
+            0xBF658D7E065F3C2F, 0x913593FDA1BCA32A, 0xBB535E93941BA525,
+            0x5ECDA415C3C6DFDE, 0xC487398FC9DE9AE2,
+        ],
+    }
+    for seed, words in expected.items():
+        rng = PortableRNG(seed)
+        assert [rng.next_u64() for _ in range(8)] == words
+
+
+def test_known_answer_normals_carry_the_spare_across_calls():
+    rng = PortableRNG(11)
+    first, second = rng.normals(3), rng.normals(4)
+    assert [x.hex() for x in first] == [
+        "0x1.36a5fbfbaa876p-1", "0x1.7b4e71031f45ap-2", "-0x1.685f17af50c6ep-1",
+    ]
+    # the sin spare of the second pair comes first
+    assert [x.hex() for x in second] == [
+        "0x1.09c480b62dabfp-2", "-0x1.2d63f2872041ep-3",
+        "0x1.952b0242cea34p-2", "0x1.32bbf924a2becp+0",
+    ]
+    assert rng.next_u64() == 0xA1CAE0D779FD75D9
+    seven = PortableRNG(11).normals(7)
+    assert np.concatenate([first, second]).tobytes() == seven.tobytes()
+
+
+def test_known_answer_shuffle_array_and_list():
+    rng = PortableRNG(12)
+    arr = np.arange(20)
+    rng.shuffle(arr)
+    assert arr.tolist() == [
+        18, 13, 3, 8, 2, 4, 1, 7, 15, 9, 16, 11, 12, 10, 14, 0, 6, 17, 19, 5,
+    ]
+    items = list("abcdefghij")
+    rng.shuffle(items)
+    assert items == ["h", "i", "a", "c", "b", "g", "j", "e", "d", "f"]
+    assert rng.next_u64() == 0xC46F33E0A9B0A042
+
+
+def test_known_answer_permutation():
+    rng = PortableRNG(13)
+    assert rng.permutation(10).tolist() == [7, 3, 8, 1, 5, 2, 6, 9, 4, 0]
+    assert rng.next_u64() == 0x71358191F8F54A6C
+
+
+def test_known_answer_sample_without_replacement():
+    rng = PortableRNG(14)
+    assert rng.sample_without_replacement(100_000, 8).tolist() == [
+        95285, 1621, 5432, 40790, 53528, 53843, 31606, 95621,
+    ]
+    assert rng.sample_without_replacement(30, 30).tolist() == [
+        8, 12, 10, 4, 28, 20, 1, 24, 15, 14, 11, 6, 25, 13, 19,
+        9, 26, 7, 21, 17, 16, 18, 23, 2, 29, 0, 3, 5, 27, 22,
+    ]
+    empty = rng.sample_without_replacement(1, 0)
+    assert empty.tolist() == [] and empty.dtype == np.int64
+    assert rng.next_u64() == 0x5F7FA76CB5A82250
+
+
+def test_known_answer_below_rejects_above_the_limit():
+    # n = 2**63 + 1 rejects about half of all words
+    rng = PortableRNG(15)
+    assert [rng.below(2**63 + 1) for _ in range(6)] == [
+        7478366605678704447, 5594926231409282421, 2193098277519328880,
+        3746136863614322006, 8926621503256177554, 6339224542321258041,
+    ]
+    assert rng.next_u64() == 0xEE14696C480D4CD4
+
+
+def test_belows_is_below_in_a_loop():
+    bounds = [7, 1, 2**40 + 3, 5000] * 1100  # longer than one block
+    a, b = PortableRNG(16), PortableRNG(16)
+    assert list(a.belows(bounds)) == [b.below(n) for n in bounds]
+    assert list(a.belows(range(9000, 1, -1))) == [b.below(n) for n in range(9000, 1, -1)]
+    assert a.next_u64() == b.next_u64()
+    with pytest.raises(ValueError):
+        list(a.belows([3, 0]))
+
+
+def _rng_whose_next_word_is(word: int, seed: int) -> PortableRNG:
+    # invert the xoshiro256** output rotl(s1 * 5, 7) * 9 for the state word s1
+    mask = 2**64 - 1
+    x = word * pow(9, -1, 2**64) & mask
+    x = (x >> 7 | x << 57) & mask
+    rng = PortableRNG(seed)
+    rng._s[1] = x * pow(5, -1, 2**64) & mask
+    return rng
+
+
+@pytest.mark.parametrize("size", [3, 5000])
+def test_shuffle_and_sampling_reject_like_below(size):
+    # 2**64 - 1 is rejected by below(n) for every n that is not a power of 2
+    top = 2**64 - 1
+    assert _rng_whose_next_word_is(top, 17).next_u64() == top
+    ref = _rng_whose_next_word_is(top, 17)
+    expected = list(range(size))
+    for i in range(size - 1, 0, -1):
+        j = ref.below(i + 1)
+        expected[i], expected[j] = expected[j], expected[i]
+    rng = _rng_whose_next_word_is(top, 17)
+    items = np.arange(size)
+    rng.shuffle(items)
+    assert items.tolist() == expected
+    assert rng.next_u64() == ref.next_u64()
+
+    ref = _rng_whose_next_word_is(top, 18)
+    pool = list(range(size))
+    for i in range(size):
+        j = i + ref.below(size - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    rng = _rng_whose_next_word_is(top, 18)
+    assert rng.sample_without_replacement(size, size).tolist() == pool
+    assert rng.next_u64() == ref.next_u64()

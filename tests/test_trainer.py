@@ -7,12 +7,15 @@ from oscisel.models import Batch, ModelState, loss_per_sample, mean_gradient
 from oscisel.regprobe import estimate_r, full_batch, gradient_covariance_trace_hc
 from oscisel.rng import PortableRNG, subseed
 from oscisel.schedule import RatioTrajectory, constant_params
+from oscisel.selection import POLICIES, LossMemory, update_losses
+from oscisel import trainer
 from oscisel.trainer import (
     EpochMetrics,
     RunConfig,
     build_datasets,
     build_model,
     evaluate,
+    make_trajectory,
     run_training,
 )
 
@@ -113,6 +116,51 @@ def test_loss_memory_records_pre_update_losses():
     batch = Batch(train.inputs[selected], train.labels[selected], selected)
     expected = loss_per_sample(state0, batch)
     assert result.loss_memory.values[selected] == pytest.approx(expected)
+
+
+def _train_updating_memory_per_minibatch(cfg):
+    """Reference loop (constant rate, no momentum) that updates the loss
+    memory after every minibatch; returns (memory, final theta)."""
+    train, _ = build_datasets(cfg)
+    state = build_model(cfg, train)
+    traj = make_trajectory(cfg)
+    memory = LossMemory.empty(train.n)
+    select_rng = PortableRNG(subseed(cfg.seed, "select"))
+    shuffle_rng = PortableRNG(subseed(cfg.seed, "shuffle"))
+    for epoch in range(cfg.epochs):
+        policy = POLICIES["random" if epoch == 0 else cfg.policy]
+        subset = policy(memory, traj.ratio_at(epoch), epoch, select_rng)
+        order = subset.indices.copy()
+        shuffle_rng.shuffle(order)
+        for start in range(0, order.shape[0], cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            batch = Batch(train.inputs[idx], train.labels[idx], idx)
+            memory = update_losses(memory, idx, loss_per_sample(state, batch), epoch)
+            g = mean_gradient(state, batch)
+            state = ModelState(state.arch, state.theta - cfg.learning_rate * g)
+    return memory, state.theta
+
+
+def test_loss_memory_equals_per_minibatch_updates():
+    # 7 does not divide the epoch sizes 10 and 190: ragged last minibatches
+    cfg = moons_config(batch_size=7, epochs=4)
+    result = run_training(cfg)
+    memory, theta = _train_updating_memory_per_minibatch(cfg)
+    assert result.loss_memory.values.tobytes() == memory.values.tobytes()
+    assert np.array_equal(result.loss_memory.last_updated, memory.last_updated)
+    assert result.final_state.theta.tobytes() == theta.tobytes()
+
+
+def test_loss_memory_takes_one_update_per_epoch(monkeypatch):
+    calls = []
+
+    def counting_update(mem, indices, losses, epoch):
+        calls.append((epoch, len(indices)))
+        return update_losses(mem, indices, losses, epoch)
+
+    monkeypatch.setattr(trainer, "update_losses", counting_update)
+    result = run_training(moons_config(batch_size=7, epochs=4))
+    assert calls == [(m.epoch, m.n_selected) for m in result.metrics]
 
 
 def test_oscillatory_train_loss_variance_exceeds_fixed():
