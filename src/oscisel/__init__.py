@@ -29,7 +29,6 @@ from .models import (
     per_sample_gradients,
 )
 from .regprobe import (
-    RegEstimate,
     estimate_r,
     full_batch,
     gradient_covariance_trace_hc,
@@ -45,8 +44,6 @@ from .schedule import (
 )
 from .selection import (
     LossMemory,
-    SelectedSubset,
-    register_policy,
     select_hard_mining,
     select_random,
     subset_size,

@@ -106,13 +106,16 @@ def _json_line(record: dict) -> str:
 
 def _cmd_derive(args) -> int:
     params = derive_params(args.target_ratio, args.epsilon)
+    # built before anything is printed, so a bad --epochs prints nothing
+    traj = None
+    if args.epochs is not None:
+        traj = RatioTrajectory(params=params, total_epochs=args.epochs)
     print(
         f"target_ratio={params.target_ratio} margin={params.margin} "
         f"p_low={params.p_low} p_high={params.p_high} "
         f"k={params.k} period={params.period}"
     )
-    if args.epochs is not None:
-        traj = RatioTrajectory(params=params, total_epochs=args.epochs)
+    if traj is not None:
         print(",".join(repr(r) for r in traj.ratios()))
     return 0
 
@@ -170,15 +173,12 @@ def _cmd_probe(args) -> int:
             # one Tr(HC) per snapshot, from the run; only (1-p)/p varies with p
             for epoch, _, trace_hc in result.snapshots:
                 # the epoch's learning rate, as in the run's own R_estimate
-                est = estimate_r(
-                    trace_hc, n, p, epoch_lr(cfg, epoch), seed=cfg.seed
-                )
+                lam, r = estimate_r(trace_hc, n, p, epoch_lr(cfg, epoch))
                 f.write(
                     _json_line(
                         {
-                            "p": p, "epoch": epoch, "trace_HC": est.trace_hc,
-                            "lambda": est.lam, "R": est.value,
-                            "probes": est.probes, "seed": est.seed,
+                            "p": p, "epoch": epoch, "trace_HC": trace_hc,
+                            "lambda": lam, "R": r, "probes": n, "seed": cfg.seed,
                         }
                     )
                 )

@@ -51,6 +51,12 @@ class Dataset:
         return int(self.provenance.get("classes", int(self.labels.max()) + 1))
 
 
+def _check_scale(name: str, value: float) -> None:
+    """A noise scale must be finite and >= 0 (NaN fails the comparison)."""
+    if not 0.0 <= value < math.inf:
+        raise ParameterDomainError(f"{name} must be finite and >= 0, got {value}")
+
+
 def gen_blobs(
     classes: int,
     per_class: int,
@@ -70,6 +76,7 @@ def gen_blobs(
         raise ParameterDomainError(f"per_class must be >= 1, got {per_class}")
     if d_in < 2:
         raise ParameterDomainError(f"blobs need d_in >= 2, got {d_in}")
+    _check_scale("spread", spread)
     rng = PortableRNG(seed)
     n = classes * per_class
     inputs = np.zeros((n, d_in))
@@ -100,6 +107,7 @@ def gen_two_moons(n: int, noise: float, seed: int, split: str = "train") -> Data
     """
     if n < 2:
         raise ParameterDomainError(f"n must be >= 2, got {n}")
+    _check_scale("noise", noise)
     rng = PortableRNG(seed)
     n0 = (n + 1) // 2
     n1 = n - n0
@@ -131,6 +139,9 @@ def gen_gauss_linear(
     """Standard-normal inputs with linear real targets, for the quadratic model."""
     if n < 1:
         raise ParameterDomainError(f"n must be >= 1, got {n}")
+    if d_in < 1:
+        raise ParameterDomainError(f"d_in must be >= 1, got {d_in}")
+    _check_scale("noise", noise)
     rng = PortableRNG(seed)
     inputs = rng.normals(n * d_in).reshape(n, d_in)
     truth = rng.normals(d_in)

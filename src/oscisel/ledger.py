@@ -19,32 +19,31 @@ _TOL = 1e-9
 class BudgetLedger:
     n: int  # dataset size
     target_ratio: float
-    entries: list = field(default_factory=list)  # (epoch, n_selected)
+    entries: list = field(default_factory=list)  # n_selected of epoch 0, 1, ...
+    _total: int = field(default=0, init=False, repr=False)  # sum(entries)
 
     def record_epoch(self, epoch: int, n_selected: int) -> "BudgetLedger":
-        expected = self.entries[-1][0] + 1 if self.entries else 0
-        if epoch != expected:
-            raise SequencingError(
-                f"epoch {epoch} out of order, expected {expected}"
-            )
+        """Append one epoch's count; a rejected count leaves the ledger as it was."""
+        t = len(self.entries)
+        if epoch != t:
+            raise SequencingError(f"epoch {epoch} out of order, expected {t}")
         if not 1 <= n_selected <= self.n:
             raise StructuralError(
                 f"n_selected={n_selected} outside [1, {self.n}]"
             )
-        self.entries.append((epoch, n_selected))
-        t = len(self.entries)
-        total = sum(n for _, n in self.entries)
-        bound = self.target_ratio * t * self.n + t
+        total = self._total + n_selected
+        bound = self.target_ratio * (t + 1) * self.n + (t + 1)
         if total > bound + _TOL:
-            self.entries.pop()
             raise BudgetViolationError(
                 f"budget violated after epoch {epoch}: "
                 f"{total} passes > {bound:.3f} allowed"
             )
+        self.entries.append(n_selected)
+        self._total = total
         return self
 
     def total_passes(self) -> int:
-        return sum(n for _, n in self.entries)
+        return self._total
 
     def summary(self) -> dict:
         if not self.entries:

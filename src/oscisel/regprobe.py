@@ -10,7 +10,6 @@ one-step prediction against Monte-Carlo subset draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,16 +27,6 @@ from .rng import subseed
 # Deviations per HVP call in the trace. It fixes the summation order, so it
 # is a constant; larger chunks measured slower (memory traffic, not calls).
 _TRACE_CHUNK = 2
-
-
-@dataclass(frozen=True)
-class RegEstimate:
-    p: float
-    trace_hc: float
-    lam: float  # (1-p)/p, 0 at p = 1
-    value: float  # eta^2/(2N) * lam * trace_hc
-    probes: int
-    seed: int
 
 
 def lambda_factor(p: float) -> float:
@@ -77,25 +66,22 @@ def gradient_covariance_trace_hc(state: ModelState, batch: Batch) -> float:
 
 
 def estimate_r(
-    trace_hc: float, n: int, p: float, eta: float, seed: int = 0
-) -> RegEstimate:
-    """R = eta^2/(2N) * (1-p)/p * Tr(HC), from a trace already computed.
+    trace_hc: float, n: int, p: float, eta: float
+) -> tuple[float, float]:
+    """(lam, R): lam = (1-p)/p and R = eta^2/(2N) * lam * Tr(HC), from a
+    trace already computed.
 
     Tr(HC) does not depend on p, so one trace serves every ratio. At p = 1
-    (full data) every step is the full-batch step and R is 0.
+    (full data) every step is the full-batch step and lam = R = 0.
     """
     if eta <= 0.0:
         raise ParameterDomainError(f"eta must be > 0, got {eta}")
     if n < 1:
         raise ParameterDomainError(f"n must be >= 1, got {n}")
     if p == 1.0:
-        lam = value = 0.0
-    else:
-        lam = lambda_factor(p)
-        value = eta**2 / (2.0 * n) * lam * trace_hc
-    return RegEstimate(
-        p=p, trace_hc=trace_hc, lam=lam, value=value, probes=n, seed=seed
-    )
+        return 0.0, 0.0
+    lam = lambda_factor(p)
+    return lam, eta**2 / (2.0 * n) * lam * trace_hc
 
 
 def trial_subset_size(p: float, n: int) -> int:
@@ -140,9 +126,8 @@ def verify_one_step_expansion(
     deterministic = (
         loss0 - eta * float(grad @ grad) + 0.5 * eta**2 * float(grad @ hg)
     )
-    reg = estimate_r(
-        gradient_covariance_trace_hc(state, batch), n, p, eta, seed=seed
-    )
+    trace_hc = gradient_covariance_trace_hc(state, batch)
+    lam, r_term = estimate_r(trace_hc, n, p, eta)
 
     grads = per_sample_gradients(state, batch)
     losses = np.empty(trials)
@@ -155,7 +140,7 @@ def verify_one_step_expansion(
 
     mc_mean = float(losses.mean())
     mc_se = float(losses.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    prediction = deterministic + reg.value
+    prediction = deterministic + r_term
     gap = mc_mean - prediction
     return {
         "p": p,
@@ -166,9 +151,9 @@ def verify_one_step_expansion(
         "mc_mean": mc_mean,
         "mc_se": mc_se,
         "deterministic_part": deterministic,
-        "r_term": reg.value,
-        "trace_hc": reg.trace_hc,
-        "lambda": reg.lam,
+        "r_term": r_term,
+        "trace_hc": trace_hc,
+        "lambda": lam,
         "prediction": prediction,
         "gap": gap,
         "gap_in_se": gap / mc_se if mc_se > 0.0 else 0.0,

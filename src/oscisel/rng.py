@@ -76,27 +76,16 @@ class PortableRNG:
     def next_u64(self) -> int:
         return int(self._u64s(1)[0])
 
-    def random(self) -> float:
-        """Uniform double in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.random()
-
     def uniforms(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        """n draws of uniform(low, high), computed on the whole block."""
+        """n uniform draws low + (high - low) * u, u a unit draw, on the block."""
         return low + (high - low) * _unit(self._u64s(n))
 
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; the paired variate is cached."""
-        return float(self.normals(1)[0])
-
     def normals(self, n: int) -> np.ndarray:
-        """n standard normals, Box-Muller on pairs (u1, u2) of random().
+        """n standard normals, Box-Muller on pairs (u1, u2) of unit draws.
 
         A pair gives r*cos(2*pi*u2), then r*sin(2*pi*u2) with
         r = sqrt(-2*log(1 - u1)). When n leaves a sine unused it becomes the
-        spare, which the next normals() or normal() call returns first.
+        spare, which the next normals() call returns first.
         """
         out = []
         if n > 0 and self._spare_normal is not None:
@@ -152,11 +141,6 @@ class PortableRNG:
         for i, j in zip(range(last, 0, -1), self.belows(range(last + 1, 1, -1))):
             items[i], items[j] = items[j], items[i]
 
-    def permutation(self, n: int) -> np.ndarray:
-        idx = list(range(n))
-        self.shuffle(idx)
-        return np.array(idx, dtype=np.int64)
-
     def sample_without_replacement(self, n: int, m: int) -> np.ndarray:
         """m distinct indices from [0, n), via partial Fisher-Yates.
 
@@ -176,5 +160,6 @@ class PortableRNG:
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
-    """random() of each word: its top 53 bits times 2**-53, exact in float64."""
+    """The unit draw of each word: its top 53 bits times 2**-53, exact in
+    float64, so in [0, 1)."""
     return (words >> np.uint64(11)) * 2.0**-53

@@ -74,6 +74,12 @@ class RatioTrajectory:
     params: ScheduleParams
     total_epochs: int
 
+    def __post_init__(self):
+        if self.total_epochs < 1:
+            raise ParameterDomainError(
+                f"total_epochs must be >= 1, got {self.total_epochs}"
+            )
+
     def ratio_at(self, epoch: int) -> float:
         if not 0 <= epoch < self.total_epochs:
             raise IndexError(

@@ -42,15 +42,6 @@ class LossMemory:
         )
 
 
-@dataclass(frozen=True)
-class SelectedSubset:
-    indices: np.ndarray  # sorted, distinct, int64
-
-    @property
-    def size(self) -> int:
-        return self.indices.shape[0]
-
-
 def subset_size(p_t: float, n: int) -> int:
     """max(1, floor(p_t * N)); the tolerance absorbs decimal-ratio roundoff."""
     if not 0.0 < p_t <= 1.0:
@@ -58,8 +49,8 @@ def subset_size(p_t: float, n: int) -> int:
     return max(1, math.floor(p_t * n + 1e-9))
 
 
-def select_hard_mining(mem: LossMemory, p_t: float) -> SelectedSubset:
-    """Top-m stored losses, ties broken by smaller index.
+def select_hard_mining(mem: LossMemory, p_t: float) -> np.ndarray:
+    """Top-m stored losses as sorted int64 indices, ties broken by smaller index.
 
     Entries never scored are excluded from the ranking; if fewer than m
     samples have been scored the remainder is filled with unscored indices in
@@ -75,16 +66,16 @@ def select_hard_mining(mem: LossMemory, p_t: float) -> SelectedSubset:
     if chosen.shape[0] < m:
         unscored = np.flatnonzero(mem.last_updated < 0)
         chosen = np.concatenate([chosen, unscored[: m - chosen.shape[0]]])
-    return SelectedSubset(np.sort(chosen).astype(np.int64))
+    return np.sort(chosen).astype(np.int64)
 
 
-def select_random(n: int, p_t: float, rng: PortableRNG) -> SelectedSubset:
-    """Uniform subset without replacement, reproducible from the rng stream."""
+def select_random(n: int, p_t: float, rng: PortableRNG) -> np.ndarray:
+    """Uniform subset without replacement as sorted int64 indices, from rng."""
     if n < 1:
         raise EmptyDatasetError(f"dataset size must be >= 1, got {n}")
     m = subset_size(p_t, n)
     idx = rng.sample_without_replacement(n, m)
-    return SelectedSubset(np.sort(idx))
+    return np.sort(idx)
 
 
 def update_losses(
@@ -106,24 +97,8 @@ def update_losses(
     return LossMemory(values=values, last_updated=updated)
 
 
-# policy registry: name -> callable(mem, p_t, epoch, rng) -> SelectedSubset.
-# External policies can register here; only these two ship.
-
-def _hard_mining_policy(mem, p_t, epoch, rng):
-    return select_hard_mining(mem, p_t)
-
-
-def _random_policy(mem, p_t, epoch, rng):
-    return select_random(mem.n, p_t, rng)
-
-
+# config policy name -> callable(mem, p_t, rng) -> sorted index array
 POLICIES = {
-    "hard_mining": _hard_mining_policy,
-    "random": _random_policy,
+    "hard_mining": lambda mem, p_t, rng: select_hard_mining(mem, p_t),
+    "random": lambda mem, p_t, rng: select_random(mem.n, p_t, rng),
 }
-
-
-def register_policy(name: str, policy) -> None:
-    if name in POLICIES:
-        raise ValueError(f"policy {name!r} already registered")
-    POLICIES[name] = policy

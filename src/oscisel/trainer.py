@@ -2,15 +2,16 @@
 
 Each epoch: get the scheduled ratio, pick a subset (random cold start at
 epoch 0 for hard mining), shuffle it, run mini-batch SGD, and record the
-pre-update forward losses into the loss memory, once per epoch, so scoring
-costs no extra passes. Everything is driven by labeled sub-streams of the
+pre-update forward losses into the loss memory, once per epoch; no pass
+scores unselected data. Everything is driven by labeled sub-streams of the
 single run seed, so a fixed config is bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field
 
 from .data import (
     Dataset,
@@ -41,6 +42,14 @@ from .rng import PortableRNG, subseed
 import numpy as np
 
 
+def _is_int(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     dataset: dict
@@ -61,18 +70,18 @@ class RunConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size", "eval_every", "probe_every", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("learning_rate", "target_ratio", "margin", "momentum"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _is_number(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.epochs < 1:
             raise ParameterDomainError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ParameterDomainError("batch_size must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ParameterDomainError("learning_rate must be > 0")
+        if not 0.0 < self.learning_rate < math.inf:  # NaN fails too
+            raise ParameterDomainError("learning_rate must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterDomainError("momentum must be in [0, 1)")
         if self.eval_every < 1:
@@ -99,16 +108,8 @@ class EpochMetrics:
     R_estimate: float | None = None
 
     def to_record(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "p_t": self.p_t,
-            "n_selected": self.n_selected,
-            "cumulative_ratio": self.cumulative_ratio,
-            "train_loss": self.train_loss,
-            "test_loss": self.test_loss,
-            "test_accuracy": self.test_accuracy,
-            "R_estimate": self.R_estimate,
-        }
+        """The metrics.jsonl record: every field, in declaration order."""
+        return asdict(self)
 
 
 @dataclass
@@ -144,6 +145,21 @@ SPEC_KEYS = {
     },
 }
 
+# what each key of SPEC_KEYS holds; a path must be a string, or an integer
+# would be opened as a file descriptor
+_SPEC_TYPES = {
+    **dict.fromkeys(
+        ("n_train", "n_test", "classes", "per_class", "d_in", "test_per_class",
+         "hidden", "limit", "test_limit"),
+        ("an integer", _is_int),
+    ),
+    **dict.fromkeys(("noise", "spread", "label_noise"), ("a number", _is_number)),
+    **dict.fromkeys(
+        ("images", "labels", "test_images", "test_labels", "train", "test"),
+        ("a path string", lambda value: isinstance(value, (str, os.PathLike))),
+    ),
+}
+
 
 def check_keys(where: str, doc: dict, required: set, optional: set) -> None:
     """Reject missing required keys, and keys neither required nor optional,
@@ -156,7 +172,8 @@ def check_keys(where: str, doc: dict, required: set, optional: set) -> None:
 
 
 def _check_spec(section: str, spec) -> str:
-    """The spec's kind, after checking its keys against SPEC_KEYS."""
+    """The spec's kind, after checking its keys against SPEC_KEYS and their
+    values against _SPEC_TYPES."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{section} must be an object, got {spec!r}")
     kind = spec.get("kind")
@@ -164,6 +181,12 @@ def _check_spec(section: str, spec) -> str:
         raise ConfigError(f"unknown {section} kind {kind!r}")
     required, optional = SPEC_KEYS[section][kind]
     check_keys(f"{section} {kind!r}", spec, required | {"kind"}, optional)
+    for key, value in spec.items():
+        if key == "kind":
+            continue
+        what, ok = _SPEC_TYPES[key]
+        if not ok(value):
+            raise ConfigError(f"{section} {kind!r}: {key} must be {what}, got {value!r}")
     return kind
 
 
@@ -275,15 +298,12 @@ def run_training(cfg: RunConfig) -> TrainResult:
             # tracer, which patches regprobe's globals, counts these traces
             trace_hc = regprobe.gradient_covariance_trace_hc(state, probe_batch)
             snapshots.append((epoch, state.theta.copy(), trace_hc))
-            r_estimate = estimate_r(
-                trace_hc, train.n, p_t, epoch_lr(cfg, epoch), seed=cfg.seed
-            ).value
+            _, r_estimate = estimate_r(trace_hc, train.n, p_t, epoch_lr(cfg, epoch))
 
         # epoch 0 has no recorded losses yet: random cold start
         active = random_policy if epoch == 0 else policy
-        subset = active(memory, p_t, epoch, rng_select)
-
-        order = subset.indices.copy()
+        # a fresh sorted array, shuffled in place into the visiting order
+        order = active(memory, p_t, rng_select)
         rng_shuffle.shuffle(order)
         eta = epoch_lr(cfg, epoch)
         loss_sum = 0.0
@@ -308,7 +328,8 @@ def run_training(cfg: RunConfig) -> TrainResult:
             state = ModelState(state.arch, state.theta - eta * g)
         memory = update_losses(memory, order, epoch_losses, epoch)
 
-        ledger.record_epoch(epoch, subset.size)
+        n_selected = order.shape[0]
+        ledger.record_epoch(epoch, n_selected)
         cumulative = ledger.total_passes() / ((epoch + 1) * train.n)
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
             test_loss, test_acc = evaluate(state, test)
@@ -318,9 +339,9 @@ def run_training(cfg: RunConfig) -> TrainResult:
             EpochMetrics(
                 epoch=epoch,
                 p_t=p_t,
-                n_selected=subset.size,
+                n_selected=n_selected,
                 cumulative_ratio=cumulative,
-                train_loss=loss_sum / subset.size,
+                train_loss=loss_sum / n_selected,
                 test_loss=test_loss,
                 test_accuracy=test_acc,
                 R_estimate=r_estimate,

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -337,3 +338,79 @@ def test_probe_uses_the_epoch_learning_rate(tmp_path):
     for m in metrics:
         row = next(r for r in rows if r["epoch"] == m["epoch"] and r["p"] == m["p_t"])
         assert row["R"] == pytest.approx(m["R_estimate"], rel=1e-12)
+
+
+def _write_tiny_idx(directory):
+    """Two 2x2 IDX image files and their label files, 4 rows each."""
+    for stem in ("images", "test_images"):
+        (directory / stem).write_bytes(struct.pack(">IIII", 0x803, 4, 2, 2) + bytes(16))
+    for stem in ("labels", "test_labels"):
+        (directory / stem).write_bytes(struct.pack(">II", 0x801, 4) + bytes([0, 1, 0, 1]))
+    return {"kind": "idx", **{stem: str(directory / stem) for stem in
+                              ("images", "labels", "test_images", "test_labels")}}
+
+
+MOONS = {"kind": "two_moons", "n_train": 120, "n_test": 60, "noise": 0.2}
+BLOBS = {"kind": "blobs", "classes": 2, "per_class": 20, "spread": 0.3}
+GAUSS = {"kind": "gauss_linear", "n_train": 40, "d_in": 3}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"dataset": {**MOONS, "n_train": 120.0}},
+        {"dataset": {**MOONS, "n_test": "60"}},
+        {"dataset": {**MOONS, "noise": "0.2"}},
+        {"dataset": {**MOONS, "label_noise": "0.1"}},
+        {"dataset": {**BLOBS, "classes": 2.0}},
+        {"dataset": {**BLOBS, "per_class": "20"}},
+        {"dataset": {**BLOBS, "spread": "0.3"}},
+        {"dataset": {**BLOBS, "test_per_class": 10.5}},
+        {"dataset": {**GAUSS, "d_in": 3.0}, "model": {"kind": "quadratic"}},
+        {"model": {"kind": "mlp", "hidden": 8.0}},
+        {"model": {"kind": "mlp", "hidden": True}},
+        {"dataset": {"kind": "osds", "train": 999_999, "test": 999_999}},
+        # "idx" keys go into an idx dataset whose files exist
+        {"idx": {"images": 999_999}},
+        {"idx": {"limit": 2.5}},
+        {"idx": {"test_limit": "2"}},
+    ],
+    ids=["learning_rate=NaN", "learning_rate=Infinity", "n_train=float",
+         "n_test=str", "noise=str", "label_noise=str", "classes=float",
+         "per_class=str", "spread=str", "test_per_class=float", "d_in=float",
+         "hidden=float", "hidden=bool", "osds-path=int", "idx-path=int",
+         "limit=float", "test_limit=str"],
+)
+def test_bad_value_types_are_usage_errors(tmp_path, capsys, overrides):
+    if "idx" in overrides:
+        dataset = {**_write_tiny_idx(tmp_path), **overrides["idx"]}
+        overrides = {"dataset": dataset, "model": {"kind": "logistic"}}
+    doc = base_config(tmp_path / "run", **overrides)
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--kind", "gauss_linear", "--d-in", "0"],
+     ["--kind", "gauss_linear", "--noise", "nan"],
+     ["--kind", "two_moons", "--noise", "-0.1"],
+     ["--kind", "blobs", "--spread", "nan"]],
+    ids=["gauss_linear-d_in=0", "gauss_linear-noise=nan", "two_moons-noise<0",
+         "blobs-spread=nan"],
+)
+def test_gen_data_rejects_out_of_domain_values(tmp_path, capsys, flags):
+    assert main(["gen-data", "--out", str(tmp_path / "ds"), *flags]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("epochs", ["-3", "0"])
+def test_derive_rejects_epochs_below_one(capsys, epochs):
+    assert main(["derive", "--target-ratio", "0.3", "--epsilon", "0.05",
+                 "--epochs", epochs]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "total_epochs" in err

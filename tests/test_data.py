@@ -69,6 +69,21 @@ def test_blobs_domain_errors():
         gen_two_moons(1, 0.1, 0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, float("inf")])
+def test_generators_reject_bad_noise_and_spread(bad):
+    with pytest.raises(ParameterDomainError, match="noise"):
+        gen_two_moons(10, bad, 0)
+    with pytest.raises(ParameterDomainError, match="noise"):
+        gen_gauss_linear(10, 2, bad, 0)
+    with pytest.raises(ParameterDomainError, match="spread"):
+        gen_blobs(2, 5, 2, bad, 0)
+
+
+def test_gauss_linear_rejects_zero_width():
+    with pytest.raises(ParameterDomainError, match="d_in"):
+        gen_gauss_linear(10, 0, 0.1, 0)
+
+
 def test_label_noise_exact_count_and_inequality():
     ds = gen_blobs(4, 250, 2, 0.2, seed=1)  # N = 1000
     noisy = inject_label_noise(ds, 0.1, seed=2)

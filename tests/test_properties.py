@@ -1,0 +1,124 @@
+"""Properties of the paper's invariants over whole input domains.
+
+Each test states an invariant for every input Hypothesis can build, not only
+for grid points: prefix budget safety of the schedule under the subset floor,
+soundness of the budget ledger, the bounds of the subset size, and the
+hard-mining order.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, strategies as st  # noqa: E402
+
+from oscisel.errors import (  # noqa: E402
+    BudgetViolationError,
+    ParameterDomainError,
+    SequencingError,
+    StructuralError,
+)
+from oscisel.ledger import BudgetLedger  # noqa: E402
+from oscisel.rng import PortableRNG  # noqa: E402
+from oscisel.schedule import RatioTrajectory, derive_params  # noqa: E402
+from oscisel.selection import (  # noqa: E402
+    LossMemory,
+    select_hard_mining,
+    select_random,
+    subset_size,
+)
+
+ratios = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@given(
+    eps=st.floats(min_value=1e-6, max_value=0.5, exclude_max=True),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    n=st.integers(min_value=1, max_value=100_000),
+    epochs=st.integers(min_value=1, max_value=60),
+)
+def test_prefix_budget_safety(eps, frac, n, epochs):
+    # p anywhere strictly inside (eps, 1 - eps)
+    p = eps + frac * (1.0 - 2.0 * eps)
+    assume(eps < p < 1.0 - eps)
+    traj = RatioTrajectory(derive_params(p, eps), epochs)
+    ledger = BudgetLedger(n=n, target_ratio=p)
+    for t in range(epochs):
+        assert traj.prefix_average(t + 1) <= p + 1e-12
+        # raises BudgetViolationError if a prefix overspends
+        ledger.record_epoch(t, subset_size(traj.ratio_at(t), n))
+    assert ledger.total_passes() <= p * epochs * n + epochs
+
+
+@given(data=st.data(), n=st.integers(min_value=1, max_value=1000), p=ratios)
+def test_ledger_soundness(data, n, p):
+    ledger = BudgetLedger(n=n, target_ratio=p)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=25))):
+        # mostly the next epoch, sometimes out of order; counts both in and
+        # out of [1, n]
+        epoch = len(ledger.entries) + data.draw(st.sampled_from([0, 0, 0, 1, -1]))
+        count = data.draw(st.integers(min_value=0, max_value=n + 1))
+        before = (list(ledger.entries), ledger.total_passes())
+        try:
+            ledger.record_epoch(epoch, count)
+        except (SequencingError, StructuralError, BudgetViolationError):
+            assert (ledger.entries, ledger.total_passes()) == before
+        else:
+            assert ledger.entries == before[0] + [count]
+        t = len(ledger.entries)
+        assert ledger.total_passes() == sum(ledger.entries)
+        assert ledger.total_passes() <= p * t * n + t + 1e-9
+
+
+@given(p=ratios, q=ratios, n=st.integers(min_value=1, max_value=10**7))
+def test_subset_size_bounds(p, q, n):
+    m = subset_size(p, n)
+    assert 1 <= m <= n
+    # the floor of p*N, up to the 1e-9 roundoff tolerance, and at least 1
+    assert m == max(1, math.floor(p * n + 1e-9))
+    assert m <= max(1.0, p * n + 1e-9)
+    assert subset_size(min(p, q), n) <= subset_size(max(p, q), n)
+
+
+@given(p=st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True),
+                   st.just(math.nan)))
+def test_subset_size_rejects_ratios_outside_the_domain(p):
+    with pytest.raises(ParameterDomainError):
+        subset_size(p, 10)
+
+
+@given(
+    rows=st.lists(
+        # few distinct losses, so that ties are common; None is never scored
+        st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        min_size=1,
+        max_size=40,
+    ),
+    p=ratios,
+)
+def test_hard_mining_order_matches_a_sort_oracle(rows, p):
+    n = len(rows)
+    mem = LossMemory(
+        values=np.array([0.0 if v is None else v for v in rows]),
+        last_updated=np.array([-1 if v is None else 0 for v in rows], dtype=np.int64),
+    )
+    m = subset_size(p, n)
+    scored = sorted((i for i in range(n) if rows[i] is not None),
+                    key=lambda i: (-rows[i], i))
+    unscored = [i for i in range(n) if rows[i] is None]
+    oracle = sorted((scored + unscored)[:m])
+    chosen = select_hard_mining(mem, p)
+    assert chosen.dtype == np.int64
+    assert chosen.tolist() == oracle
+
+
+@given(n=st.integers(min_value=1, max_value=300), p=ratios,
+       seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_random_selection_is_a_sorted_distinct_subset(n, p, seed):
+    chosen = select_random(n, p, PortableRNG(seed))
+    assert chosen.dtype == np.int64
+    assert len(chosen) == subset_size(p, n)
+    assert chosen.tolist() == sorted(set(chosen.tolist()))
+    assert 0 <= chosen.min() and chosen.max() < n

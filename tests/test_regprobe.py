@@ -92,16 +92,14 @@ def test_trace_hc_degenerate_error():
 
 
 def test_estimate_r_assembly_and_scaling():
-    est = estimate_r(2.5, 120, 0.5, 0.01, seed=1)
-    assert (est.p, est.trace_hc, est.lam, est.probes, est.seed) == (
-        0.5, 2.5, 1.0, 120, 1
-    )
-    assert est.value == 0.01**2 / (2 * 120) * est.lam * est.trace_hc
+    lam, r = estimate_r(2.5, 120, 0.5, 0.01)
+    assert lam == 1.0
+    assert r == 0.01**2 / (2 * 120) * lam * 2.5
     # exact proportionality in eta^2 and in lambda(p)
-    est2 = estimate_r(2.5, 120, 0.5, 0.02, seed=1)
-    assert est2.value == pytest.approx(4.0 * est.value, rel=1e-12)
-    est19 = estimate_r(2.5, 120, 0.05, 0.01, seed=1)
-    assert est19.value == pytest.approx(19.0 * est.value, rel=1e-12)
+    _, r2 = estimate_r(2.5, 120, 0.5, 0.02)
+    assert r2 == pytest.approx(4.0 * r, rel=1e-12)
+    _, r19 = estimate_r(2.5, 120, 0.05, 0.01)
+    assert r19 == pytest.approx(19.0 * r, rel=1e-12)
     with pytest.raises(ParameterDomainError):
         estimate_r(2.5, 120, 0.5, 0.0)
     with pytest.raises(ParameterDomainError):
@@ -109,13 +107,13 @@ def test_estimate_r_assembly_and_scaling():
 
 
 def test_estimate_r_full_data_limit():
-    est = estimate_r(2.5, 120, 1.0 - 1e-9, 0.01)
-    assert abs(est.value) < 1e-11
+    _, r = estimate_r(2.5, 120, 1.0 - 1e-9, 0.01)
+    assert abs(r) < 1e-11
     # p = 1 is the limit itself, whatever the sign of the trace
     for trace in (2.5, -2.5):
-        full = estimate_r(trace, 120, 1.0, 0.01)
-        assert (full.lam, full.value, full.trace_hc) == (0.0, 0.0, trace)
-        assert math.copysign(1.0, full.value) == 1.0
+        lam, r = estimate_r(trace, 120, 1.0, 0.01)
+        assert (lam, r) == (0.0, 0.0)
+        assert math.copysign(1.0, r) == 1.0
     for p in (0.0, 1.5):
         with pytest.raises(ParameterDomainError):
             estimate_r(2.5, 120, p, 0.01)

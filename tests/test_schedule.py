@@ -140,6 +140,12 @@ def test_epoch_range_errors():
         traj.prefix_average(6)
 
 
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_trajectory_needs_an_epoch(epochs):
+    with pytest.raises(ParameterDomainError, match="total_epochs"):
+        RatioTrajectory(derive_params(0.3, 0.05), epochs)
+
+
 def test_constant_params_is_flat():
     traj = RatioTrajectory(constant_params(0.5), 6)
     assert traj.ratios() == [0.5] * 6

@@ -6,7 +6,6 @@ from oscisel.rng import PortableRNG
 from oscisel.selection import (
     LossMemory,
     POLICIES,
-    register_policy,
     select_hard_mining,
     select_random,
     subset_size,
@@ -24,19 +23,19 @@ def scored_memory(values, epoch=0):
 def test_hard_mining_example():
     mem = scored_memory([0.1, 0.9, 0.5, 0.7])
     subset = select_hard_mining(mem, 0.5)
-    assert subset.indices.tolist() == [1, 3]
+    assert subset.tolist() == [1, 3]
 
 
 def test_hard_mining_tie_break_by_index():
     mem = scored_memory([0.4, 0.4, 0.4, 0.4])
     subset = select_hard_mining(mem, 0.5)
-    assert subset.indices.tolist() == [0, 1]
+    assert subset.tolist() == [0, 1]
 
 
 def test_hard_mining_floor_sizing():
     mem = scored_memory([0.1, 0.9, 0.5, 0.7])
     subset = select_hard_mining(mem, 0.95)
-    assert subset.indices.tolist() == [1, 2, 3]  # floor(3.8) = 3
+    assert subset.tolist() == [1, 2, 3]  # floor(3.8) = 3
 
 
 def test_hard_mining_matches_sort_oracle():
@@ -50,12 +49,12 @@ def test_hard_mining_matches_sort_oracle():
         m = max(1, int(np.floor(p_t * n + 1e-9)))
         # stable descending sort oracle: (value desc, index asc)
         oracle = sorted(range(n), key=lambda i: (-values[i], i))[:m]
-        assert subset.indices.tolist() == sorted(oracle)
+        assert subset.tolist() == sorted(oracle)
 
 
 def test_cardinality_monotone_in_ratio():
     mem = scored_memory(np.random.default_rng(0).random(57))
-    sizes = [select_hard_mining(mem, p).size for p in np.linspace(0.02, 1.0, 50)]
+    sizes = [len(select_hard_mining(mem, p)) for p in np.linspace(0.02, 1.0, 50)]
     assert sizes == sorted(sizes)
     assert sizes[-1] == 57
 
@@ -64,9 +63,9 @@ def test_unscored_excluded_until_first_scored():
     mem = LossMemory.empty(6)
     mem = update_losses(mem, [0, 1, 2], [0.1, 0.9, 0.5], epoch=0)
     # m=3 with exactly three scored entries: unscored 3..5 never outrank them
-    assert select_hard_mining(mem, 0.5).indices.tolist() == [0, 1, 2]
+    assert select_hard_mining(mem, 0.5).tolist() == [0, 1, 2]
     # m=4 exceeds the scored count: lowest unscored index pads the subset
-    assert select_hard_mining(mem, 0.7).indices.tolist() == [0, 1, 2, 3]
+    assert select_hard_mining(mem, 0.7).tolist() == [0, 1, 2, 3]
 
 
 def test_empty_memory_error():
@@ -76,19 +75,19 @@ def test_empty_memory_error():
 
 def test_select_random_full_ratio():
     subset = select_random(4, 1.0, PortableRNG(1))
-    assert subset.indices.tolist() == [0, 1, 2, 3]
+    assert subset.tolist() == [0, 1, 2, 3]
 
 
 def test_select_random_cardinality():
     subset = select_random(1000, 0.05, PortableRNG(3))
-    assert subset.size == 50
-    assert len(set(subset.indices.tolist())) == 50
+    assert len(subset) == 50
+    assert len(set(subset.tolist())) == 50
 
 
 def test_select_random_deterministic_from_seed():
     a = select_random(200, 0.3, PortableRNG(99))
     b = select_random(200, 0.3, PortableRNG(99))
-    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a, b)
 
 
 def test_select_random_uniform_frequency():
@@ -96,7 +95,7 @@ def test_select_random_uniform_frequency():
     counts = np.zeros(n)
     rng = PortableRNG(7)
     for _ in range(trials):
-        counts[select_random(n, p_t, rng).indices] += 1
+        counts[select_random(n, p_t, rng)] += 1
     freq = counts / trials
     tol = 3.0 * np.sqrt(p_t * (1 - p_t) / trials)
     assert np.all(np.abs(freq - p_t) <= tol)
@@ -142,5 +141,3 @@ def test_update_losses_structural_errors():
 
 def test_policy_registry():
     assert set(POLICIES) >= {"hard_mining", "random"}
-    with pytest.raises(ValueError):
-        register_policy("random", lambda *a: None)

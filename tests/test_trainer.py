@@ -129,8 +129,7 @@ def _train_updating_memory_per_minibatch(cfg):
     shuffle_rng = PortableRNG(subseed(cfg.seed, "shuffle"))
     for epoch in range(cfg.epochs):
         policy = POLICIES["random" if epoch == 0 else cfg.policy]
-        subset = policy(memory, traj.ratio_at(epoch), epoch, select_rng)
-        order = subset.indices.copy()
+        order = policy(memory, traj.ratio_at(epoch), select_rng)
         shuffle_rng.shuffle(order)
         for start in range(0, order.shape[0], cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
@@ -203,7 +202,7 @@ def test_probe_every_populates_r_estimates():
     assert [e for e, _, _ in result.snapshots] == [0, 2]
     n = build_datasets(cfg)[0].n
     for m, (_, _, trace_hc) in zip(probed, result.snapshots):
-        assert m.R_estimate == estimate_r(trace_hc, n, m.p_t, cfg.learning_rate).value
+        assert m.R_estimate == estimate_r(trace_hc, n, m.p_t, cfg.learning_rate)[1]
 
 
 def test_snapshot_trace_is_the_trace_at_its_theta():
