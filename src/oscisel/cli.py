@@ -20,12 +20,7 @@ import numpy as np
 
 from .config import SCHEMA_VERSION, LoadedConfig, load_config
 from .data import save_osds
-from .errors import (
-    ConfigError,
-    FormatError,
-    InfeasibleScheduleError,
-    ParameterDomainError,
-)
+from .errors import ConfigError, FormatError, ParameterDomainError
 from .regprobe import (
     estimate_r,
     full_batch,
@@ -50,6 +45,24 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want exit 1
         raise _UsageError(message)
+
+
+# gen-data's dataset flags, each named after the dataset key it sets
+# (--n-train -> n_train), with its type and default
+_GEN_DATA_FLAGS = {
+    "n_train": (int, 1000),
+    "n_test": (int, 500),
+    "noise": (float, 0.2),
+    "label_noise": (float, 0.0),
+    "classes": (int, 2),
+    "per_class": (int, 100),
+    "d_in": (int, 2),
+    "spread": (float, 0.2),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _build_parser() -> _Parser:
@@ -78,14 +91,10 @@ def _build_parser() -> _Parser:
                    choices=["two_moons", "blobs", "gauss_linear"])
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-train", type=int, default=1000)
-    p.add_argument("--n-test", type=int, default=500)
-    p.add_argument("--noise", type=float, default=0.2)
-    p.add_argument("--label-noise", type=float, default=0.0)
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--per-class", type=int, default=100)
-    p.add_argument("--d-in", type=int, default=2)
-    p.add_argument("--spread", type=float, default=0.2)
+    for key, (cast, default) in _GEN_DATA_FLAGS.items():
+        # unset flags stay off the namespace, so gen-data sees which were given
+        p.add_argument(_flag(key), type=cast, default=argparse.SUPPRESS,
+                       help=f"default {default}")
 
     p = sub.add_parser("report", help="aggregate completed runs into a CSV table")
     p.add_argument("--in", dest="in_dirs", nargs="+", required=True)
@@ -95,9 +104,12 @@ def _build_parser() -> _Parser:
 
 def _parse_ratio_list(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        ratios = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad ratio list {text!r}") from exc
+    if not ratios:
+        raise _UsageError(f"--p names no ratio: {text!r}")
+    return ratios
 
 
 def _json_line(record: dict) -> str:
@@ -196,17 +208,17 @@ def _cmd_verify(args) -> int:
     for p in ratios:  # all of them, before regprobe.jsonl is opened
         trial_subset_size(p, train.n)
     state = build_model(cfg, train)
-    batch = full_batch(train)
+    reports = verify_one_step_expansion(
+        state, full_batch(train), ratios, cfg.learning_rate, args.trials,
+        seed=cfg.seed,
+    )
     loaded.out_dir.mkdir(parents=True, exist_ok=True)
     with open(loaded.out_dir / "regprobe.jsonl", "w") as f:
-        for p in ratios:
-            report = verify_one_step_expansion(
-                state, batch, p, cfg.learning_rate, args.trials, seed=cfg.seed
-            )
+        for report in reports:
             report.pop("trial_losses")
             f.write(_json_line({"epoch": 0, **report}))
             print(
-                f"p={p}: mc_mean={report['mc_mean']:.8g} "
+                f"p={report['p']}: mc_mean={report['mc_mean']:.8g} "
                 f"prediction={report['prediction']:.8g} "
                 f"gap_in_se={report['gap_in_se']:.2f}"
             )
@@ -214,10 +226,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    # each flag is named after the dataset key it sets (--n-train -> n_train)
     required, optional = SPEC_KEYS["dataset"][args.kind]
+    read = required | optional
+    ignored = [_flag(k) for k in _GEN_DATA_FLAGS if k not in read and hasattr(args, k)]
+    if ignored:
+        raise _UsageError(f"--kind {args.kind} does not read {', '.join(ignored)}")
     spec = {"kind": args.kind}
-    spec.update({k: getattr(args, k) for k in required | optional if hasattr(args, k)})
+    spec.update({k: getattr(args, k, default)
+                 for k, (_, default) in _GEN_DATA_FLAGS.items() if k in read})
     train, test = datasets_from_spec(spec, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -304,13 +320,7 @@ _COMMANDS = {
     "report": _cmd_report,
 }
 
-_USAGE_ERRORS = (
-    _UsageError,
-    FileNotFoundError,
-    ConfigError,
-    ParameterDomainError,
-    InfeasibleScheduleError,
-)
+_USAGE_ERRORS = (_UsageError, FileNotFoundError, ConfigError, ParameterDomainError)
 
 
 def main(argv=None) -> int:

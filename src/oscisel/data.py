@@ -190,7 +190,12 @@ def _read_exact(f, count: int, what: str) -> bytes:
 def load_idx(
     images_path, labels_path, limit: int | None = None, split: str = "train"
 ) -> Dataset:
-    """Load an IDX u8 image/label pair (MNIST-style), pixels scaled to [0, 1]."""
+    """Load an IDX u8 image/label pair (MNIST-style), pixels scaled to [0, 1].
+
+    limit, if given, keeps the first limit rows and must be at least 1.
+    """
+    if limit is not None and limit < 1:
+        raise ParameterDomainError(f"{split} row limit must be >= 1, got {limit}")
     with open(images_path, "rb") as f:
         magic, n, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
         if magic != IDX_MAGIC_IMAGES:

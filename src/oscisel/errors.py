@@ -5,10 +5,6 @@ class ParameterDomainError(ValueError):
     """A numeric parameter is outside its documented domain."""
 
 
-class InfeasibleScheduleError(ValueError):
-    """No oscillatory schedule exists for the requested target ratio / margin."""
-
-
 class EmptyDatasetError(ValueError):
     """An operation that needs at least one sample got an empty dataset."""
 

@@ -173,13 +173,23 @@ def _mean_gradient(arch: Arch, theta: np.ndarray, batch: Batch) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
+def _losses(arch: Arch, theta: np.ndarray, batch: Batch) -> np.ndarray:
+    """Per-sample losses at one theta (d,) -> (m,) or at each row of a stack
+    (K, d) -> (K, m)."""
+    if arch.kind == "quadratic":
+        # one theta runs the same matrix-vector product as x @ theta
+        resid = theta @ batch.inputs.T - batch.labels
+        return 0.5 * resid**2
+    logp = _log_softmax(_forward(arch, theta, batch.inputs)[0])
+    picked = np.arange(batch.size), batch.labels
+    # one theta skips the leading slice: training calls this per minibatch,
+    # and that index costs about 1% of the call
+    return -logp[picked if theta.ndim == 1 else (slice(None), *picked)]
+
+
 def loss_per_sample(state: ModelState, batch: Batch) -> np.ndarray:
     _check_batch(state, batch)
-    if state.arch.kind == "quadratic":
-        resid = batch.inputs @ state.theta - batch.labels
-        return 0.5 * resid**2
-    logp = _log_softmax(_forward(state.arch, state.theta, batch.inputs)[0])
-    return -logp[np.arange(batch.size), batch.labels]
+    return _losses(state.arch, state.theta, batch)
 
 
 def mean_loss(state: ModelState, batch: Batch) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleScheduleError, ParameterDomainError
+from .errors import ParameterDomainError
 
 # guards against float roundoff when p*N or the k ratio lands on an integer
 _TOL = 1e-12
@@ -26,10 +26,13 @@ class ScheduleParams:
     p_low: float
     p_high: float
     k: int  # low-phase length in epochs
-    period: int  # k + 1
+
+    @property
+    def period(self) -> int:
+        return self.k + 1
 
     def period_average(self) -> float:
-        return (self.k * self.p_low + self.p_high) / (self.k + 1)
+        return (self.k * self.p_low + self.p_high) / self.period
 
 
 def derive_params(p: float, eps: float) -> ScheduleParams:
@@ -48,20 +51,13 @@ def derive_params(p: float, eps: float) -> ScheduleParams:
 
     p_high = 1.0 - eps
     if p < 0.5:
-        p_low = eps
-        gap = p - p_low
-        if gap <= 0.0:
-            raise InfeasibleScheduleError(
-                f"no feasible low-phase length: p={p} does not exceed p_low={p_low}"
-            )
-        k = max(1, math.ceil((p_high - p) / gap - _TOL))
+        p_low = eps  # eps < p was checked above, so p - p_low > 0
+        k = max(1, math.ceil((p_high - p) / (p - p_low) - _TOL))
     else:
         k = 1
         p_low = 2.0 * p - p_high
 
-    params = ScheduleParams(
-        target_ratio=p, margin=eps, p_low=p_low, p_high=p_high, k=k, period=k + 1
-    )
+    params = ScheduleParams(target_ratio=p, margin=eps, p_low=p_low, p_high=p_high, k=k)
     assert 0.0 < params.p_low < p < params.p_high < 1.0
     assert params.period_average() <= p + _TOL
     return params
@@ -104,6 +100,4 @@ def constant_params(p: float) -> ScheduleParams:
     """Degenerate schedule with the oscillation disabled (fixed-ratio mode)."""
     if not 0.0 < p <= 1.0:
         raise ParameterDomainError(f"fixed ratio must be in (0, 1], got {p}")
-    return ScheduleParams(
-        target_ratio=p, margin=0.0, p_low=p, p_high=p, k=1, period=2
-    )
+    return ScheduleParams(target_ratio=p, margin=0.0, p_low=p, p_high=p, k=1)

@@ -2,6 +2,7 @@ import json
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oscisel.cli
@@ -9,6 +10,7 @@ import oscisel.regprobe
 from oscisel.cli import main
 from oscisel.config import load_config, parse_config
 from oscisel.errors import ConfigError
+from oscisel.rng import subseed
 
 
 def base_config(out_dir, **overrides):
@@ -214,6 +216,40 @@ def test_probe_computes_one_trace_per_snapshot(tmp_path, monkeypatch):
     assert len(set(by_p[0.05])) == 3
 
 
+def test_verify_computes_one_trace_and_one_subset_per_trial(tmp_path, monkeypatch):
+    traces, seeds = [], []
+    trace = oscisel.regprobe.gradient_covariance_trace_hc
+    default_rng = np.random.default_rng
+
+    def counting_trace(state, batch):
+        traces.append(state)
+        return trace(state, batch)
+
+    def counting_rng(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(oscisel.regprobe, "gradient_covariance_trace_hc",
+                        counting_trace)
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    doc = base_config(
+        tmp_path / "verify",
+        dataset={"kind": "gauss_linear", "n_train": 40, "d_in": 3},
+        model={"kind": "quadratic"},
+        learning_rate=0.01,
+    )
+    cfg = write_config(tmp_path, doc)
+    assert main(["verify", "--config", str(cfg), "--p", "0.25,0.75",
+                 "--trials", "20"]) == 0
+    # one trace and one generator per trial for both ratios, not 2 and 2 x 20
+    assert len(traces) == 1
+    assert seeds == [subseed(5, f"trial.{i}") for i in range(20)]
+    rows = [json.loads(line) for line in
+            (tmp_path / "verify" / "regprobe.jsonl").read_text().splitlines()]
+    assert [row["p"] for row in rows] == [0.25, 0.75]
+    assert rows[0]["trace_hc"] == rows[1]["trace_hc"]
+
+
 @pytest.mark.parametrize("ratios", ["0.5,1.5", "0.0", "1.0", "nan"])
 def test_probe_rejects_bad_ratios_before_training(tmp_path, monkeypatch, capsys,
                                                    ratios):
@@ -245,6 +281,15 @@ def test_verify_rejects_bad_arguments_before_writing(tmp_path, monkeypatch, flag
     cfg = write_config(tmp_path, doc)
     assert main(["verify", "--config", str(cfg), *flags]) == 1
     assert not (tmp_path / "verify" / "regprobe.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["probe", "verify"])
+@pytest.mark.parametrize("ratios", [",", " "])
+def test_empty_ratio_list_is_a_usage_error(tmp_path, capsys, command, ratios):
+    cfg = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert main([command, "--config", str(cfg), "--p", ratios]) == 1
+    assert "names no ratio" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -393,6 +438,17 @@ def test_bad_value_types_are_usage_errors(tmp_path, capsys, overrides):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key", ["limit", "test_limit"])
+@pytest.mark.parametrize("value", [-1, 0])
+def test_idx_limits_below_one_are_usage_errors(tmp_path, capsys, key, value):
+    dataset = {**_write_tiny_idx(tmp_path), key: value}
+    doc = base_config(tmp_path / "run", dataset=dataset, model={"kind": "logistic"})
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and f"limit must be >= 1, got {value}" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--kind", "gauss_linear", "--d-in", "0"],
@@ -406,6 +462,32 @@ def test_gen_data_rejects_out_of_domain_values(tmp_path, capsys, flags):
     assert main(["gen-data", "--out", str(tmp_path / "ds"), *flags]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, ignored",
+    [(["--kind", "blobs", "--noise", "5", "--n-train", "7"], "--n-train, --noise"),
+     (["--kind", "two_moons", "--classes", "3"], "--classes"),
+     (["--kind", "gauss_linear", "--spread", "0.2", "--per-class", "4"],
+      "--per-class, --spread")],
+    ids=["blobs", "two_moons", "gauss_linear"],
+)
+def test_gen_data_rejects_flags_its_kind_does_not_read(tmp_path, capsys, flags,
+                                                       ignored):
+    assert main(["gen-data", "--out", str(tmp_path / "ds"), *flags]) == 1
+    assert f"does not read {ignored}" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
+def test_gen_data_defaults_fill_the_flags_left_out(tmp_path):
+    from oscisel.data import load_osds
+
+    assert main(["gen-data", "--kind", "gauss_linear", "--out", str(tmp_path / "ds"),
+                 "--n-train", "30"]) == 0
+    train = load_osds(tmp_path / "ds" / "train.osds")
+    test = load_osds(tmp_path / "ds" / "test.osds", "test")
+    # --n-test 500 and --d-in 2 by default
+    assert (train.n, test.n, train.d_in) == (30, 500, 2)
 
 
 @pytest.mark.parametrize("epochs", ["-3", "0"])

@@ -2,18 +2,22 @@
 
 Each test states an invariant for every input Hypothesis can build, not only
 for grid points: prefix budget safety of the schedule under the subset floor,
-soundness of the budget ledger, the bounds of the subset size, and the
-hard-mining order.
+soundness of the budget ledger, the bounds of the subset size, the
+hard-mining order, and the OSDS file round trip.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from oscisel.data import Dataset, load_osds, save_osds  # noqa: E402
 from oscisel.errors import (  # noqa: E402
     BudgetViolationError,
     ParameterDomainError,
@@ -122,3 +126,31 @@ def test_random_selection_is_a_sorted_distinct_subset(n, p, seed):
     assert len(chosen) == subset_size(p, n)
     assert chosen.tolist() == sorted(set(chosen.tolist()))
     assert 0 <= chosen.min() and chosen.max() < n
+
+
+@given(
+    shape=st.tuples(st.integers(min_value=1, max_value=20),
+                    st.integers(min_value=1, max_value=4)),
+    classification=st.booleans(),
+    data=st.data(),
+)
+def test_osds_round_trip(shape, classification, data):
+    n = shape[0]
+    # any float64, NaN, infinities and -0.0 included: the file keeps the bytes
+    inputs = data.draw(arrays(np.float64, shape))
+    if classification:
+        labels = data.draw(arrays(np.int64, n,
+                                  elements=st.integers(min_value=0, max_value=2**31)))
+    else:
+        labels = data.draw(arrays(np.float64, n))
+    ds = Dataset(inputs, labels, "train", {})
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.osds", Path(tmp) / "second.osds"
+        save_osds(ds, first)
+        back = load_osds(first)
+        save_osds(back, second)
+        assert second.read_bytes() == first.read_bytes()
+    assert (back.inputs.dtype, back.labels.dtype) == (np.float64, labels.dtype)
+    assert back.inputs.tobytes() == inputs.tobytes()
+    assert back.labels.tobytes() == labels.tobytes()
+    assert back.n_classes == ds.n_classes

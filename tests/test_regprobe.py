@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oscisel.data import gen_blobs, gen_gauss_linear
-from oscisel.errors import EmptyDatasetError, ParameterDomainError
+from oscisel.data import gen_blobs, gen_gauss_linear, gen_two_moons
+from oscisel.errors import EmptyDatasetError, NumericError, ParameterDomainError
 from oscisel.models import (
     Arch,
     Batch,
     ModelState,
     mean_gradient,
+    mean_loss,
     per_sample_gradients,
 )
 from oscisel.regprobe import (
@@ -19,6 +20,7 @@ from oscisel.regprobe import (
     lambda_factor,
     verify_one_step_expansion,
 )
+from oscisel.rng import subseed
 
 
 def quadratic_setup(n=120, d=8, seed=7):
@@ -152,3 +154,75 @@ def test_one_step_domain_errors():
         verify_one_step_expansion(state, batch, 0.001, 0.01, 10)
     with pytest.raises(ParameterDomainError):
         verify_one_step_expansion(state, batch, 1.2, 0.01, 10)
+
+
+def small_instances():
+    """One small (state, batch) per architecture, away from theta = 0."""
+    rng = np.random.default_rng(21)
+    logistic = Arch("logistic", 4, classes=3)
+    mlp = Arch("mlp", 2, hidden=6, classes=2)
+    return {
+        "quadratic": quadratic_setup(n=90, d=6, seed=22),
+        "logistic": (
+            ModelState(logistic, 0.5 * rng.normal(size=logistic.param_count)),
+            full_batch(gen_blobs(3, 30, 4, 0.5, seed=23)),
+        ),
+        "mlp": (
+            ModelState(mlp, 0.5 * rng.normal(size=mlp.param_count)),
+            full_batch(gen_two_moons(80, 0.2, seed=24)),
+        ),
+    }
+
+
+def one_trial_at_a_time(state, batch, p, eta, trials, seed):
+    """Reference loop: each trial's subset, step and full-data loss alone."""
+    n = batch.size
+    m = math.floor(p * n + 1e-9)
+    grads = per_sample_gradients(state, batch)
+    losses = []
+    for i in range(trials):
+        subset = np.random.default_rng(subseed(seed, f"trial.{i}")).permutation(n)[:m]
+        stepped = ModelState(state.arch, state.theta - eta * grads[subset].mean(axis=0))
+        losses.append(mean_loss(stepped, batch))
+    return np.array(losses)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+def test_verify_ratio_list_equals_one_call_per_ratio(kind):
+    state, batch = small_instances()[kind]
+    ratios = [0.75, 0.1, 1.0, 0.5]
+    # 19 trials: the last chunk of stacked forwards is a partial one
+    rows = verify_one_step_expansion(state, batch, ratios, 0.05, 19, seed=3)
+    assert [row["p"] for row in rows] == ratios
+    for p, row in zip(ratios, rows):
+        one = verify_one_step_expansion(state, batch, p, 0.05, 19, seed=3)
+        assert isinstance(one, dict)
+        for key in ("m", "trace_hc", "prediction", "deterministic_part"):
+            assert row[key] == one[key]
+        np.testing.assert_allclose(row["trial_losses"], one["trial_losses"],
+                                   rtol=1e-12, atol=0.0)
+        reference = one_trial_at_a_time(state, batch, p, 0.05, 19, seed=3)
+        np.testing.assert_allclose(one["trial_losses"], reference,
+                                   rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+def test_verify_full_ratio_trials_take_the_full_step(kind):
+    state, batch = small_instances()[kind]
+    report = verify_one_step_expansion(state, batch, 1.0, 0.05, 12, seed=4)
+    losses = report["trial_losses"]
+    full = ModelState(state.arch, state.theta - 0.05 * mean_gradient(state, batch))
+    # every trial's subset is the whole dataset, so every loss is one value
+    assert np.all(losses == losses[0])
+    assert losses[0] == pytest.approx(mean_loss(full, batch), rel=1e-12)
+    assert report["mc_se"] == 0.0
+
+
+def test_verify_overflowing_step_is_a_numeric_error():
+    x = np.random.default_rng(25).normal(size=(20, 2))
+    state = ModelState(Arch("quadratic", 2), np.zeros(2))
+    batch = Batch(x, np.full(20, 1e200), np.arange(20))
+    # every per-sample gradient is about 1e200, so eta * ghat overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="non-finite"):
+            verify_one_step_expansion(state, batch, [0.5, 1.0], 1e120, 4)
