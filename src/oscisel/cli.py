@@ -30,6 +30,7 @@ from .regprobe import (
 from .schedule import RatioTrajectory, derive_params
 from .trainer import (
     SPEC_KEYS,
+    _is_number,
     build_datasets,
     build_model,
     datasets_from_spec,
@@ -245,13 +246,26 @@ def _cmd_gen_data(args) -> int:
 
 
 def _load_run_dir(run_dir: Path) -> dict:
-    with open(run_dir / "summary.json") as f:
-        summary = json.load(f)
+    path = run_dir / "summary.json"
+    with open(path) as f:
+        try:
+            summary = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: parse error: {exc}") from exc
+    if not isinstance(summary, dict):
+        raise FormatError(f"{path}: not a JSON object")
     if summary.get("schema_version") != SCHEMA_VERSION:
         raise FormatError(
-            f"{run_dir}: schema_version {summary.get('schema_version')!r} "
+            f"{path}: schema_version {summary.get('schema_version')!r} "
             f"does not match {SCHEMA_VERSION!r}"
         )
+    if "realized_ratio" not in summary:
+        raise FormatError(f"{path}: missing key 'realized_ratio'")
+    for key in ("realized_ratio", "wall_time_s"):
+        if not _is_number(summary.get(key, 0.0)):
+            raise FormatError(f"{path}: {key} must be a number, got {summary[key]!r}")
+    if not isinstance(summary.get("name", ""), str):
+        raise FormatError(f"{path}: name must be a string, got {summary['name']!r}")
     final_acc = None
     with open(run_dir / "metrics.jsonl") as f:
         for lineno, line in enumerate(f, start=1):

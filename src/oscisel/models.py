@@ -66,7 +66,6 @@ class ModelState:
 class Batch:
     inputs: np.ndarray  # (m, d_in)
     labels: np.ndarray  # int classes or float targets, (m,)
-    indices: np.ndarray  # originating dataset indices, (m,)
 
     @property
     def size(self) -> int:

@@ -49,11 +49,7 @@ def lambda_factor(p: float) -> float:
 
 
 def full_batch(dataset) -> Batch:
-    return Batch(
-        inputs=dataset.inputs,
-        labels=dataset.labels,
-        indices=np.arange(dataset.n, dtype=np.int64),
-    )
+    return Batch(inputs=dataset.inputs, labels=dataset.labels)
 
 
 def gradient_covariance_trace_hc(state: ModelState, batch: Batch) -> float:

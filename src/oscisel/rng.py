@@ -7,17 +7,28 @@ variates come from the Box-Muller transform. Every module stream is derived
 from the single run seed via ``subseed(seed, label)``; the labels in use are
 documented in docs/config.md.
 
-Words are drawn in blocks by ``_u64s``, the one place the xoshiro256** step
-is written: the state recurrence runs in Python ints held in locals, and the
-output scrambler, which reads one state word, runs afterwards on the whole
-block in wrapping uint64 arithmetic. tests/test_rng.py pins known answers of
-every method, so the stream cannot drift.
+Words are drawn in blocks by ``_u64s``. A short block runs the state
+recurrence one word at a time in Python ints held in locals. A block of at
+least ``_LANE_MIN`` words is cut into lanes of ``_LANE`` consecutive words:
+lane k starts ``k * _LANE`` steps ahead, and all lanes run the recurrence
+together, one NumPy uint64 step per word of a lane (``_advance``). The lane
+starts come from the jump ``A**_LANE``: xoshiro256** is linear over GF(2), so
+``_LANE`` steps are one 256x256 bit matrix A**_LANE, applied by tables of its
+columns, one table per 4 bits of the state. The matrix is made by running
+``_advance`` on the 256 unit states, not written down as constants, so a jump
+can only ever agree with the step it skips over. The output scrambler, which
+reads one state word, runs afterwards on the whole block in wrapping uint64
+arithmetic. How a draw is cut into lanes never changes a word of the stream;
+tests/test_rng.py pins known answers of every method, with draws long enough
+to take the lanes, so it cannot drift.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import operator
 
 import numpy as np
 
@@ -25,6 +36,10 @@ _MASK64 = (1 << 64) - 1
 _TWO_PI = 2.0 * math.pi
 # words per block in belows(), which bounds its temporaries
 _BLOCK = 4096
+# words per lane, and the shortest draw cut into lanes (see CHANGES.md for the
+# timings that chose them)
+_LANE = 64
+_LANE_MIN = 2048
 
 
 def _splitmix64_next(state: int) -> tuple[int, int]:
@@ -55,9 +70,22 @@ class PortableRNG:
 
     def _u64s(self, n: int) -> np.ndarray:
         """The next n words of the stream, as a uint64 array."""
+        lanes = n // _LANE if n >= _LANE_MIN else 0
+        if lanes:
+            head = self._lane_states(lanes)
+        x = np.array(self._states(n - lanes * _LANE), dtype=np.uint64)
+        if lanes:
+            x = np.concatenate((head, x))
+        # rotl(s1 * 5, 7) * 9, modulo 2**64
+        x *= np.uint64(5)
+        return (x << np.uint64(7) | x >> np.uint64(57)) * np.uint64(9)
+
+    def _states(self, n: int) -> list:
+        """The state word s1 that each of the next n outputs is scrambled
+        from, one xoshiro256** step at a time."""
         mask = _MASK64
         s0, s1, s2, s3 = self._s
-        s1s = []  # the state word each output is scrambled from
+        s1s = []
         append = s1s.append
         for _ in range(n):
             append(s1)
@@ -69,9 +97,22 @@ class PortableRNG:
             s2 ^= t
             s3 = s3 << 45 & mask | s3 >> 19  # rotl(s3, 45)
         self._s = [s0, s1, s2, s3]
-        # rotl(s1 * 5, 7) * 9, modulo 2**64
-        x = np.array(s1s, dtype=np.uint64) * np.uint64(5)
-        return (x << np.uint64(7) | x >> np.uint64(57)) * np.uint64(9)
+        return s1s
+
+    def _lane_states(self, lanes: int) -> np.ndarray:
+        """_states(lanes * _LANE) as a uint64 array, drawn in lanes."""
+        start = b"".join(word.to_bytes(8, "little") for word in self._s)
+        starts = [start]
+        for _ in range(lanes - 1):
+            start = _jump(start)
+            starts.append(start)
+        state = np.frombuffer(b"".join(starts), dtype="<u8").reshape(lanes, 4)
+        state = state.T.astype(np.uint64, order="C")
+        s1s = np.empty((_LANE, lanes), dtype=np.uint64)
+        _advance(state, s1s)
+        # the last lane ends lanes * _LANE steps on
+        self._s = state[:, -1].tolist()
+        return s1s.T.ravel()
 
     def next_u64(self) -> int:
         return int(self._u64s(1)[0])
@@ -136,10 +177,19 @@ class PortableRNG:
                 yield from (self.below(n) for n in block)
 
     def shuffle(self, items) -> None:
-        """In-place Fisher-Yates from the last index: swap i with below(i + 1)."""
-        last = len(items) - 1
+        """In-place Fisher-Yates from the last index: swap i with below(i + 1).
+
+        A 1-D integer array is swapped through a memoryview of its buffer: a
+        memoryview swap costs half an array's, which boxes every element in
+        a NumPy scalar, and unlike a list copy it needs no extra memory.
+        """
+        seq = items
+        if isinstance(items, np.ndarray) and items.ndim == 1:
+            if items.dtype.kind in "iu" and items.dtype.isnative:
+                seq = memoryview(items)
+        last = len(seq) - 1
         for i, j in zip(range(last, 0, -1), self.belows(range(last + 1, 1, -1))):
-            items[i], items[j] = items[j], items[i]
+            seq[i], seq[j] = seq[j], seq[i]
 
     def sample_without_replacement(self, n: int, m: int) -> np.ndarray:
         """m distinct indices from [0, n), via partial Fisher-Yates.
@@ -157,6 +207,64 @@ class PortableRNG:
             out.append(displaced.get(j, j))
             displaced[j] = displaced.pop(i, i)
         return np.array(out, dtype=np.int64)
+
+
+def _advance(state: np.ndarray, s1s: np.ndarray) -> None:
+    """Step every column of the (4, lanes) xoshiro256** state once per row of
+    s1s, writing into each row the s1 words it steps from."""
+    shifted = np.empty((2, state.shape[1]), dtype=np.uint64)
+    shifts = np.array([[17], [45]], dtype=np.uint64)
+    nineteen = np.uint64(19)
+    # the views are made once: on a few hundred lanes a NumPy call costs
+    # about its fixed overhead, and so does making a view
+    s01, s23, s1, s3 = state[:2], state[2:], state[1], state[3]
+    s13, s32 = state[1::2], state[3:1:-1]
+    xor, copyto = np.bitwise_xor, np.copyto
+    for row in s1s:
+        copyto(row, s1)
+        xor(s23, s01, out=s23)  # s2 ^= s0, s3 ^= s1
+        np.left_shift(s13, shifts, out=shifted)  # s1 << 17, s3 << 45
+        xor(s01, s32, out=s01)  # s0 ^= s3, s1 ^= s2
+        np.right_shift(s3, nineteen, out=s3)
+        # s2 ^= s1 << 17, and s3 = rotl(s3, 45): its two halves share no bit
+        xor(s23, shifted, out=s23)
+
+
+# bytes.translate tables splitting a byte into its low and its high nibble
+_LOW_NIBBLE = bytes(b & 15 for b in range(256))
+_HIGH_NIBBLE = bytes(b >> 4 for b in range(256))
+
+
+def _jump(state: bytes) -> bytes:
+    """The 32-byte little-endian state (s0 first) _LANE steps on: the XOR of
+    one entry of each of the 64 tables of A**_LANE, picked by a nibble."""
+    nibbles = state.translate(_LOW_NIBBLE) + state.translate(_HIGH_NIBBLE)
+    entries = map(operator.getitem, _jump_tables(), nibbles)
+    return functools.reduce(operator.xor, entries).to_bytes(32, "little")
+
+
+@functools.cache
+def _jump_tables() -> list:
+    """A**_LANE as 64 tables of 16 entries: table i < 32 maps the low nibble
+    of state byte i, table 32 + i its high nibble, to its image under the jump.
+
+    A**_LANE is read off by stepping the 256 unit states _LANE times.
+    """
+    unit = np.zeros((4, 256), dtype=np.uint64)
+    bit = np.arange(256)
+    unit[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
+    _advance(unit, np.empty((_LANE, 256), dtype=np.uint64))
+    raw = unit.T.astype("<u8").tobytes()
+    columns = [int.from_bytes(raw[32 * i : 32 * i + 32], "little") for i in range(256)]
+    tables = []
+    for low in [8 * i for i in range(32)] + [8 * i + 4 for i in range(32)]:
+        table = [0] * 16
+        for v in range(1, 16):
+            # v with its lowest set bit cleared, plus that bit's column
+            lowest = (v & -v).bit_length() - 1
+            table[v] = table[v & (v - 1)] ^ columns[low + lowest]
+        tables.append(table)
+    return tables
 
 
 def _unit(words: np.ndarray) -> np.ndarray:

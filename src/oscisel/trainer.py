@@ -315,9 +315,7 @@ def run_training(cfg: RunConfig) -> TrainResult:
         for start in range(0, order.shape[0], cfg.batch_size):
             stop = start + cfg.batch_size
             idx = order[start:stop]
-            batch = Batch(
-                inputs=train.inputs[idx], labels=train.labels[idx], indices=idx
-            )
+            batch = Batch(inputs=train.inputs[idx], labels=train.labels[idx])
             losses = loss_per_sample(state, batch)
             epoch_losses[start:stop] = losses
             loss_sum += float(losses.sum())

@@ -100,7 +100,7 @@ def test_criterion_3_gradient_correctness():
             else:
                 y = rng.integers(0, arch.classes, size=m)
             state = ModelState(arch, theta)
-            batch = Batch(x, y, np.arange(m))
+            batch = Batch(x, y)
             g = mean_gradient(state, batch)
             fd = np.zeros_like(g)
             h = 1e-6

@@ -141,6 +141,30 @@ def test_report_corrupt_metrics_line(tmp_path, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda s: {k: v for k, v in s.items() if k != "realized_ratio"},
+         "missing key 'realized_ratio'"),
+        (lambda s: [s], "not a JSON object"),
+        (lambda s: "{not json", "parse error"),
+        (lambda s: {**s, "realized_ratio": "0.3"}, "realized_ratio must be a number"),
+        (lambda s: {**s, "wall_time_s": None}, "wall_time_s must be a number"),
+        (lambda s: {**s, "name": 3}, "name must be a string"),
+    ],
+    ids=["missing-key", "not-object", "not-json", "ratio-str", "wall-null", "name-int"],
+)
+def test_report_malformed_summary_names_the_file(tmp_path, capsys, edit, message):
+    doc = base_config(tmp_path / "run")
+    main(["run", "--config", str(write_config(tmp_path, doc))])
+    summary_path = tmp_path / "run" / "summary.json"
+    edited = edit(json.loads(summary_path.read_text()))
+    summary_path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    capsys.readouterr()
+    assert main(["report", "--in", str(tmp_path / "run")]) == 2
+    assert f"{summary_path}: {message}" in capsys.readouterr().err
+
+
 def test_gen_data_roundtrip(tmp_path, capsys):
     assert main(["gen-data", "--kind", "blobs", "--out", str(tmp_path / "ds"),
                  "--classes", "3", "--per-class", "10"]) == 0

@@ -30,7 +30,7 @@ def random_instance(arch, rng):
         y = rng.normal(size=m)
     else:
         y = rng.integers(0, arch.classes, size=m)
-    return ModelState(arch, theta), Batch(x, y, np.arange(m))
+    return ModelState(arch, theta), Batch(x, y)
 
 
 def fd_gradient(state, batch, h=1e-6):
@@ -56,13 +56,13 @@ def test_logistic_zero_theta_uniform_loss():
     arch = Arch("logistic", 5, classes=7)
     state = ModelState(arch, np.zeros(arch.param_count))
     batch = Batch(np.random.default_rng(0).normal(size=(4, 5)),
-                  np.array([0, 2, 4, 6]), np.arange(4))
+                  np.array([0, 2, 4, 6]))
     assert loss_per_sample(state, batch) == pytest.approx(np.log(7) * np.ones(4))
 
 
 def test_quadratic_closed_forms():
     state = ModelState(Arch("quadratic", 2), np.zeros(2))
-    batch = Batch(np.array([[1.0, 0.0]]), np.array([2.0]), np.array([0]))
+    batch = Batch(np.array([[1.0, 0.0]]), np.array([2.0]))
     assert loss_per_sample(state, batch) == pytest.approx([2.0])
     assert mean_gradient(state, batch) == pytest.approx([-2.0, 0.0])
 
@@ -72,7 +72,7 @@ def test_quadratic_per_sample_rows_closed_form():
     x = rng.normal(size=(2, 4)); y = rng.normal(size=2)
     theta = rng.normal(size=4)
     state = ModelState(Arch("quadratic", 4), theta)
-    batch = Batch(x, y, np.arange(2))
+    batch = Batch(x, y)
     rows = per_sample_gradients(state, batch)
     expected = (x @ theta - y)[:, None] * x
     assert rows == pytest.approx(expected, abs=0)
@@ -104,8 +104,7 @@ def test_per_sample_rows_vs_finite_differences(arch):
     state, batch = random_instance(arch, rng)
     rows = per_sample_gradients(state, batch)
     for i in range(batch.size):
-        single = Batch(batch.inputs[i : i + 1], batch.labels[i : i + 1],
-                       batch.indices[i : i + 1])
+        single = Batch(batch.inputs[i : i + 1], batch.labels[i : i + 1])
         fd = fd_gradient(state, single)
         scale = max(np.abs(rows[i]).max(), 1e-8)
         assert np.abs(rows[i] - fd).max() / scale < 1e-5
@@ -114,7 +113,7 @@ def test_per_sample_rows_vs_finite_differences(arch):
 def test_batch_of_one_row_equals_mean_gradient():
     rng = np.random.default_rng(5)
     state, batch = random_instance(Arch("logistic", 4, classes=3), rng)
-    single = Batch(batch.inputs[:1], batch.labels[:1], batch.indices[:1])
+    single = Batch(batch.inputs[:1], batch.labels[:1])
     rows = per_sample_gradients(state, single)
     assert rows[0] == pytest.approx(mean_gradient(state, single), abs=1e-15)
 
@@ -125,7 +124,6 @@ def test_duplicated_rows_leave_mean_gradient_unchanged():
     doubled = Batch(
         np.vstack([batch.inputs, batch.inputs]),
         np.concatenate([batch.labels, batch.labels]),
-        np.concatenate([batch.indices, batch.indices]),
     )
     assert mean_gradient(state, doubled) == pytest.approx(
         mean_gradient(state, batch), abs=1e-14
@@ -136,7 +134,7 @@ def test_hvp_quadratic_exact():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(30, 6))
     state = ModelState(Arch("quadratic", 6), rng.normal(size=6))
-    batch = Batch(x, rng.normal(size=30), np.arange(30))
+    batch = Batch(x, rng.normal(size=30))
     v = rng.normal(size=6)
     hv = hessian_vector_product(state, batch, v)
     assert np.abs(hv - (x.T @ x / 30) @ v).max() < 1e-8
@@ -203,18 +201,16 @@ def test_structural_and_numeric_errors():
     arch = Arch("logistic", 3, classes=2)
     state = ModelState(arch, np.zeros(arch.param_count))
     with pytest.raises(StructuralError):
-        loss_per_sample(state, Batch(np.zeros((2, 4)), np.zeros(2, dtype=int),
-                                     np.arange(2)))
+        loss_per_sample(state, Batch(np.zeros((2, 4)), np.zeros(2, dtype=int)))
     with pytest.raises(NumericError):
         loss_per_sample(state, Batch(np.array([[np.nan, 0.0, 0.0]]),
-                                     np.array([0]), np.array([0])))
+                                     np.array([0])))
     with pytest.raises(StructuralError):
         ModelState(arch, np.zeros(3))
     with pytest.raises(NumericError):
         ModelState(arch, np.full(arch.param_count, np.inf))
     with pytest.raises(StructuralError):
-        hessian_vector_product(state, Batch(np.zeros((1, 3)),
-                                            np.array([0]), np.array([0])),
+        hessian_vector_product(state, Batch(np.zeros((1, 3)), np.array([0])),
                                np.zeros(0))
 
 
@@ -236,7 +232,7 @@ def test_stacked_hvp_equals_one_vector_calls(arch):
 def test_stacked_hvp_errors():
     arch = Arch("mlp", 3, hidden=4, classes=2)
     state = ModelState(arch, np.zeros(arch.param_count))
-    batch = Batch(np.zeros((2, 3)), np.array([0, 1]), np.arange(2))
+    batch = Batch(np.zeros((2, 3)), np.array([0, 1]))
     d = arch.param_count
     with pytest.raises(StructuralError):
         hessian_vector_product(state, batch, np.zeros((2, d + 1)))
@@ -251,7 +247,7 @@ def test_stacked_hvp_errors():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_hvp_non_finite_direction_message(value):
     state = ModelState(Arch("quadratic", 3), np.zeros(3))
-    batch = Batch(np.ones((2, 3)), np.zeros(2), np.arange(2))
+    batch = Batch(np.ones((2, 3)), np.zeros(2))
     for v in (np.array([1.0, value, 0.0]), np.array([[1.0, 0, 0], [0, value, 0]])):
         with pytest.raises(NumericError, match="^theta contains non-finite entries$"):
             hessian_vector_product(state, batch, v)

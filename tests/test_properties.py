@@ -3,7 +3,8 @@
 Each test states an invariant for every input Hypothesis can build, not only
 for grid points: prefix budget safety of the schedule under the subset floor,
 soundness of the budget ledger, the bounds of the subset size, the
-hard-mining order, and the OSDS file round trip.
+hard-mining order, the OSDS file round trip, and a portable stream that does
+not depend on how its words are drawn.
 """
 
 import math
@@ -25,7 +26,7 @@ from oscisel.errors import (  # noqa: E402
     StructuralError,
 )
 from oscisel.ledger import BudgetLedger  # noqa: E402
-from oscisel.rng import PortableRNG  # noqa: E402
+from oscisel.rng import _LANE, _LANE_MIN, PortableRNG  # noqa: E402
 from oscisel.schedule import RatioTrajectory, derive_params  # noqa: E402
 from oscisel.selection import (  # noqa: E402
     LossMemory,
@@ -154,3 +155,22 @@ def test_osds_round_trip(shape, classification, data):
     assert back.inputs.tobytes() == inputs.tobytes()
     assert back.labels.tobytes() == labels.tobytes()
     assert back.n_classes == ds.n_classes
+
+
+# draw sizes at the edges of the lane path: around the shortest draw cut into
+# lanes and around whole numbers of lanes, 0 and 1 included
+_edge_sizes = st.builds(
+    lambda base, offset: max(0, base + offset),
+    st.sampled_from(
+        [0, _LANE, 3 * _LANE, _LANE_MIN, _LANE_MIN + 5 * _LANE, 3 * _LANE_MIN]
+    ),
+    st.sampled_from([-1, 0, 1]),
+)
+
+
+@given(a=_edge_sizes, b=_edge_sizes, seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_stream_does_not_depend_on_how_words_are_drawn(a, b, seed):
+    split, whole = PortableRNG(seed), PortableRNG(seed)
+    parts = np.concatenate([split.uniforms(a), split.uniforms(b)])
+    assert parts.tobytes() == whole.uniforms(a + b).tobytes()
+    assert split.next_u64() == whole.next_u64()

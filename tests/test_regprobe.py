@@ -61,7 +61,7 @@ def test_trace_hc_zero_for_identical_gradients():
     x = np.tile(np.array([[1.0, 2.0]]), (5, 1))
     y = np.full(5, 3.0)
     state = ModelState(Arch("quadratic", 2), np.array([0.5, -0.5]))
-    batch = Batch(x, y, np.arange(5))
+    batch = Batch(x, y)
     assert abs(gradient_covariance_trace_hc(state, batch)) < 1e-10
 
 
@@ -88,7 +88,7 @@ def test_trace_hc_logistic_dense_oracle():
 
 def test_trace_hc_degenerate_error():
     state, batch = quadratic_setup()
-    single = Batch(batch.inputs[:1], batch.labels[:1], batch.indices[:1])
+    single = Batch(batch.inputs[:1], batch.labels[:1])
     with pytest.raises(EmptyDatasetError):
         gradient_covariance_trace_hc(state, single)
 
@@ -221,7 +221,7 @@ def test_verify_full_ratio_trials_take_the_full_step(kind):
 def test_verify_overflowing_step_is_a_numeric_error():
     x = np.random.default_rng(25).normal(size=(20, 2))
     state = ModelState(Arch("quadratic", 2), np.zeros(2))
-    batch = Batch(x, np.full(20, 1e200), np.arange(20))
+    batch = Batch(x, np.full(20, 1e200))
     # every per-sample gradient is about 1e200, so eta * ghat overflows
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="non-finite"):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,20 @@ def test_known_answer_shuffle_array_and_list():
     assert rng.next_u64() == 0xC46F33E0A9B0A042
 
 
+@pytest.mark.parametrize(
+    "items",
+    [np.arange(40, dtype=np.int32), np.arange(40, dtype=np.uint8),
+     np.arange(80)[::2], np.arange(40, dtype=">i8"), np.arange(40.0),
+     np.array([str(i) for i in range(40)])],
+    ids=["int32", "uint8", "strided", "big-endian", "float64", "str"],
+)
+def test_shuffle_permutes_every_array_like_a_list(items):
+    expected = items.tolist()
+    PortableRNG(13).shuffle(expected)
+    PortableRNG(13).shuffle(items)
+    assert items.tolist() == expected
+
+
 def test_known_answer_sample_without_replacement():
     rng = PortableRNG(14)
     assert rng.sample_without_replacement(100_000, 8).tolist() == [
@@ -157,3 +173,53 @@ def test_shuffle_and_sampling_reject_like_below(size):
     rng = _rng_whose_next_word_is(top, 18)
     assert rng.sample_without_replacement(size, size).tolist() == pool
     assert rng.next_u64() == ref.next_u64()
+
+
+# Large-draw known answers, recorded from the word-at-a-time recurrence: each
+# draw is long enough to be split into jump-ahead lanes, so these pin the lane
+# starts, the scalar tail and the state handed back afterwards. Each output is
+# pinned by the SHA-256 of its bytes, and the state it leaves by next_u64().
+
+def _sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def test_known_answer_large_uniforms():
+    rng = PortableRNG(21)
+    u = rng.uniforms(100_003)
+    assert u.dtype == np.float64 and u.shape == (100_003,)
+    assert _sha256(u) == (
+        "7a2e4bd4515930780cfa5efce9a8e0b659c9e1f289364772dfbd213d11f8d2bc"
+    )
+    assert rng.next_u64() == 0x5D6819704FECB0E7
+
+
+def test_known_answer_large_normals_keep_the_spare():
+    rng = PortableRNG(22)
+    x = rng.normals(50_001)  # odd: the sine of the last pair is the spare
+    assert x.dtype == np.float64 and x.shape == (50_001,)
+    assert _sha256(x) == (
+        "674f68f90a95fc75b79d8280cba8fa4db03ecae6ef0540ea58dbb53c4a441797"
+    )
+    assert rng.normals(1)[0].hex() == "0x1.84947e9c755dap+0"
+    assert rng.next_u64() == 0x1BD6FA22444456AF
+
+
+def test_known_answer_large_shuffle():
+    rng = PortableRNG(23)
+    items = np.arange(110_000)
+    rng.shuffle(items)
+    assert _sha256(items) == (
+        "6b46fbf94011f1ac3a2cef1c7dd967ccd65f7a55a9885fde363db2c6e503228b"
+    )
+    assert rng.next_u64() == 0x975C8E9247365AB7
+
+
+def test_known_answer_large_sample_without_replacement():
+    rng = PortableRNG(24)
+    idx = rng.sample_without_replacement(100_000, 30_000)
+    assert idx.dtype == np.int64
+    assert _sha256(idx) == (
+        "81eb41cdaeec498cafecf38ebb95b4ac166c23d1065cac8e651b98cb080a7cef"
+    )
+    assert rng.next_u64() == 0x91C20BAF618D1D8D

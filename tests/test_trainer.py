@@ -80,7 +80,7 @@ def test_full_data_baseline_matches_plain_sgd_loop():
         shuffle_rng.shuffle(order)
         for start in range(0, train.n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch = Batch(train.inputs[idx], train.labels[idx], idx)
+            batch = Batch(train.inputs[idx], train.labels[idx])
             g = mean_gradient(state, batch)
             state = ModelState(state.arch, state.theta - cfg.learning_rate * g)
     assert np.array_equal(result.final_state.theta, state.theta)
@@ -113,7 +113,7 @@ def test_loss_memory_records_pre_update_losses():
     selected = np.flatnonzero(result.loss_memory.last_updated == 0)
     # single batch: recorded losses are the epoch-start model's losses
     state0 = build_model(cfg, train)
-    batch = Batch(train.inputs[selected], train.labels[selected], selected)
+    batch = Batch(train.inputs[selected], train.labels[selected])
     expected = loss_per_sample(state0, batch)
     assert result.loss_memory.values[selected] == pytest.approx(expected)
 
@@ -133,7 +133,7 @@ def _train_updating_memory_per_minibatch(cfg):
         shuffle_rng.shuffle(order)
         for start in range(0, order.shape[0], cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch = Batch(train.inputs[idx], train.labels[idx], idx)
+            batch = Batch(train.inputs[idx], train.labels[idx])
             memory = update_losses(memory, idx, loss_per_sample(state, batch), epoch)
             g = mean_gradient(state, batch)
             state = ModelState(state.arch, state.theta - cfg.learning_rate * g)
