@@ -2,7 +2,8 @@
 
 Three architectures: multinomial logistic regression, one-hidden-layer ReLU
 MLP (both cross-entropy), and quadratic least-squares. Gradients are
-closed-form backprop, double precision throughout. Hessian-vector products
+closed-form backprop, double precision throughout; ``mean_gradient`` can also
+hand back the per-sample losses of its forward pass. Hessian-vector products
 use symmetric finite differences of the mean gradient, which is exact (up to
 rounding) for the quadratic model.
 """
@@ -57,7 +58,7 @@ class ModelState:
                 f"theta has length {theta.shape}, arch implies "
                 f"({self.arch.param_count},)"
             )
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise NumericError("theta contains non-finite entries")
         object.__setattr__(self, "theta", theta)
 
@@ -96,7 +97,7 @@ def _check_batch(state: ModelState, batch: Batch) -> None:
         )
     if batch.labels.shape[0] != batch.size:
         raise StructuralError("labels/inputs row count mismatch")
-    if not np.all(np.isfinite(batch.inputs)):
+    if not np.isfinite(batch.inputs).all():
         raise NumericError("batch inputs contain non-finite values")
     if state.arch.kind != "quadratic":
         labels = batch.labels
@@ -136,16 +137,23 @@ def _forward(arch: Arch, theta: np.ndarray, x: np.ndarray):
     return scores, layers, inputs
 
 
-def _layer_deltas(arch: Arch, theta: np.ndarray, batch: Batch) -> list:
+def _layer_deltas(
+    arch: Arch, theta: np.ndarray, batch: Batch, losses: np.ndarray | None = None
+) -> list:
     """(layer input, loss gradient w.r.t. the layer output) per layer.
 
     Each sample's weight gradient is the outer product of the two and its
     bias gradient is the delta, so mean and per-sample gradients differ only
-    in how they reduce these pairs.
+    in how they reduce these pairs. When losses is given, the per-sample
+    losses of the same forward pass are written into it.
     """
     scores, layers, inputs = _forward(arch, theta, batch.inputs)
-    delta = np.exp(_log_softmax(scores))  # softmax - onehot
-    delta[..., np.arange(batch.size), batch.labels] -= 1.0
+    logp = _log_softmax(scores)
+    picked = ..., np.arange(batch.size), batch.labels
+    if losses is not None:
+        np.negative(logp[picked], out=losses)
+    delta = np.exp(logp, out=logp)  # softmax - onehot
+    delta[picked] -= 1.0
     pairs = []
     for i in reversed(range(len(layers))):
         pairs.insert(0, (inputs[i], delta))
@@ -155,17 +163,25 @@ def _layer_deltas(arch: Arch, theta: np.ndarray, batch: Batch) -> list:
     return pairs
 
 
-def _mean_gradient(arch: Arch, theta: np.ndarray, batch: Batch) -> np.ndarray:
-    """Batch-mean gradient at one theta (d,) or at each row of a stack (K, d)."""
+def _mean_gradient(
+    arch: Arch, theta: np.ndarray, batch: Batch, losses: np.ndarray | None = None
+) -> np.ndarray:
+    """Batch-mean gradient at one theta (d,) or at each row of a stack (K, d).
+
+    When losses is given, an array of the shape _losses returns, the
+    per-sample losses at theta are written into it, bit-equal to _losses.
+    """
     x, m = batch.inputs, batch.size
     if arch.kind == "quadratic":
         # a column per theta, so each row of a stack runs the same matrix-
         # vector products as one theta does
         resid = x @ theta[..., :, None] - batch.labels[:, None]
+        if losses is not None:
+            np.multiply(0.5, resid[..., 0] ** 2, out=losses)
         return (resid.swapaxes(-1, -2) @ x / m).reshape(theta.shape)
     lead = theta.shape[:-1]
     parts = []
-    for inputs, delta in _layer_deltas(arch, theta, batch):
+    for inputs, delta in _layer_deltas(arch, theta, batch, losses):
         weights = inputs.swapaxes(-1, -2) @ delta / m
         # sum / m is what mean computes, without its Python overhead
         parts += [weights.reshape(*lead, -1), delta.sum(axis=-2) / m]
@@ -203,9 +219,21 @@ def predict(state: ModelState, batch: Batch) -> np.ndarray:
     return _forward(state.arch, state.theta, batch.inputs)[0].argmax(axis=1)
 
 
-def mean_gradient(state: ModelState, batch: Batch) -> np.ndarray:
+def mean_gradient(
+    state: ModelState, batch: Batch, losses: np.ndarray | None = None
+) -> np.ndarray:
+    """Batch-mean gradient of the loss.
+
+    When losses, an (m,) float64 array, is given, the per-sample losses of
+    the same forward pass are written into it, bit-equal to what
+    loss_per_sample returns, so a training step needs one forward pass.
+    """
     _check_batch(state, batch)
-    return _mean_gradient(state.arch, state.theta, batch)
+    if losses is not None and losses.shape != (batch.size,):
+        raise StructuralError(
+            f"losses has shape {losses.shape}, expected ({batch.size},)"
+        )
+    return _mean_gradient(state.arch, state.theta, batch, losses)
 
 
 def per_sample_gradients(state: ModelState, batch: Batch) -> np.ndarray:
@@ -234,11 +262,13 @@ def hessian_vector_product(
     if v.ndim not in (1, 2) or v.shape[-1] != d:
         raise StructuralError(f"v has shape {v.shape}, expected ({d},) or (K, {d})")
     _check_batch(state, batch)
+    # a non-finite direction makes a non-finite perturbed theta, reported as
+    # ModelState reports it; a finite one moves theta by at most 1e-5
+    if not np.isfinite(v).all():
+        raise NumericError("theta contains non-finite entries")
     rows = v.reshape(-1, d)
     r = np.array([[_HVP_DELTA / max(float(np.linalg.norm(row)), 1.0)] for row in rows])
     plus, minus = state.theta + r * rows, state.theta - r * rows
-    if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
-        raise NumericError("theta contains non-finite entries")  # as ModelState
     g_plus = _mean_gradient(state.arch, plus, batch)
     g_minus = _mean_gradient(state.arch, minus, batch)
     return ((g_plus - g_minus) / (2.0 * r)).reshape(v.shape)

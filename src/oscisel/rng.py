@@ -163,15 +163,20 @@ class PortableRNG:
         """
         for start in range(0, len(bounds), _BLOCK):
             block = bounds[start : start + _BLOCK]
-            if min(block) <= 0:
-                raise ValueError(f"below() needs n >= 1, got {min(block)}")
+            # np.array would step through a range one Python int at a time
+            if isinstance(block, range):
+                ns = np.arange(block.start, block.stop, block.step)
+            else:
+                ns = np.array(block)
+            if ns.min() <= 0:
+                raise ValueError(f"below() needs n >= 1, got {ns.min()}")
             state = self._s
             words = self._u64s(len(block))
             # below(n) rejects only words above 2**64 - 1 - 2**64 % n, which
             # is at least 2**64 - n; a block with no word that high needs no
             # test (each word reaches it with odds of n / 2**64)
-            if int(words.max()) < _MASK64 + 1 - max(block):
-                yield from (words % np.array(block, dtype=np.uint64)).tolist()
+            if int(words.max()) < _MASK64 + 1 - int(ns.max()):
+                yield from (words % ns.astype(np.uint64)).tolist()
             else:
                 self._s = state
                 yield from (self.below(n) for n in block)

@@ -1,10 +1,12 @@
 """Epoch-level training loop with budgeted data selection.
 
+Before the first step, both splits are checked once against the model.
 Each epoch: get the scheduled ratio, pick a subset (random cold start at
 epoch 0 for hard mining), shuffle it, run mini-batch SGD, and record the
 pre-update forward losses into the loss memory, once per epoch; no pass
-scores unselected data. Everything is driven by labeled sub-streams of the
-single run seed, so a fixed config is bit-reproducible.
+scores unselected data. Each minibatch runs one forward pass, which gives
+both its losses and its gradient. Everything is driven by labeled
+sub-streams of the single run seed, so a fixed config is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ from .data import (
     load_idx,
     load_osds,
 )
-from .errors import ConfigError, EmptyDatasetError, ParameterDomainError
+from .errors import (
+    ConfigError,
+    EmptyDatasetError,
+    NumericError,
+    ParameterDomainError,
+    StructuralError,
+)
 from .ledger import BudgetLedger
 from .models import (
     Arch,
@@ -247,6 +255,30 @@ def build_model(cfg: RunConfig, train: Dataset) -> ModelState:
     return init_state(arch, PortableRNG(subseed(cfg.seed, "model_init")))
 
 
+def _check_split(state: ModelState, ds: Dataset) -> None:
+    """Reject a split the model cannot train or be evaluated on, naming it.
+
+    The minibatch and evaluation checks find the same faults only once a
+    step reaches them, and they neither name the split nor look at
+    regression targets, whose NaN first shows up in theta after a step.
+    """
+    where = f"{ds.split} split"
+    if ds.n == 0:
+        raise EmptyDatasetError(f"{ds.split} set is empty")
+    if ds.inputs.ndim != 2 or ds.d_in != state.arch.d_in:
+        raise StructuralError(
+            f"{where}: inputs shape {ds.inputs.shape} incompatible with "
+            f"d_in={state.arch.d_in}"
+        )
+    if not np.isfinite(ds.inputs).all():
+        raise NumericError(f"{where}: inputs contain non-finite values")
+    if state.arch.kind == "quadratic":
+        if not np.isfinite(ds.labels).all():
+            raise NumericError(f"{where}: targets contain non-finite values")
+    elif ds.labels.min() < 0 or ds.labels.max() >= state.arch.classes:
+        raise StructuralError(f"{where}: class labels out of range")
+
+
 def make_trajectory(cfg: RunConfig) -> RatioTrajectory:
     if cfg.schedule_mode == "fixed":
         params = constant_params(cfg.target_ratio)
@@ -277,6 +309,8 @@ def epoch_lr(cfg: RunConfig, epoch: int) -> float:
 def run_training(cfg: RunConfig) -> TrainResult:
     train, test = build_datasets(cfg)
     state = build_model(cfg, train)
+    _check_split(state, train)
+    _check_split(state, test)
     traj = make_trajectory(cfg)
     ledger = BudgetLedger(n=train.n, target_ratio=cfg.target_ratio)
     memory = LossMemory.empty(train.n)
@@ -316,10 +350,9 @@ def run_training(cfg: RunConfig) -> TrainResult:
             stop = start + cfg.batch_size
             idx = order[start:stop]
             batch = Batch(inputs=train.inputs[idx], labels=train.labels[idx])
-            losses = loss_per_sample(state, batch)
-            epoch_losses[start:stop] = losses
+            losses = epoch_losses[start:stop]
+            g = mean_gradient(state, batch, losses=losses)
             loss_sum += float(losses.sum())
-            g = mean_gradient(state, batch)
             if cfg.momentum > 0.0:
                 velocity = cfg.momentum * velocity + g
                 g = velocity

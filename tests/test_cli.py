@@ -7,6 +7,7 @@ import pytest
 
 import oscisel.cli
 import oscisel.regprobe
+import oscisel.trainer
 from oscisel.cli import main
 from oscisel.config import load_config, parse_config
 from oscisel.errors import ConfigError
@@ -183,6 +184,56 @@ def test_run_on_osds_dataset(tmp_path):
                  "test": str(tmp_path / "ds" / "test.osds")},
     )
     assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 0
+
+
+@pytest.mark.parametrize(
+    "fault, model, error",
+    [
+        ("train inputs", {"kind": "mlp", "hidden": 4},
+         "train split: inputs contain non-finite values"),
+        ("train targets", {"kind": "quadratic"},
+         "train split: targets contain non-finite values"),
+        ("test inputs", {"kind": "logistic"},
+         "test split: inputs contain non-finite values"),
+        ("test labels", {"kind": "logistic"},
+         "test split: class labels out of range"),
+        ("test width", {"kind": "logistic"},
+         "test split: inputs shape (20, 3) incompatible with d_in=2"),
+        ("test rows", {"kind": "quadratic"}, "test set is empty"),
+    ],
+    ids=["train-inputs", "train-targets", "test-inputs", "test-labels", "test-width",
+         "test-empty"],
+)
+def test_run_rejects_a_bad_split_before_any_step(tmp_path, capsys, monkeypatch,
+                                                 fault, model, error):
+    from oscisel.data import Dataset, save_osds
+
+    rng = np.random.default_rng(4)
+    regression = model["kind"] == "quadratic"
+    for split, n in (("train", 40), ("test", 0 if fault == "test rows" else 20)):
+        inputs = rng.normal(size=(n, 3 if fault == f"{split} width" else 2))
+        labels = rng.normal(size=n) if regression else np.arange(n) % 2
+        if fault == f"{split} inputs":
+            inputs[n // 2, 1] = np.nan
+        elif fault == f"{split} targets":
+            labels[n // 2] = np.nan
+        elif fault == f"{split} labels":
+            labels[n // 2] = 2
+        provenance = {} if regression else {"classes": 2}
+        save_osds(Dataset(inputs, labels, split, provenance),
+                  tmp_path / f"{split}.osds")
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(oscisel.trainer, "mean_gradient", no_step)
+    doc = base_config(
+        tmp_path / "run", model=model,
+        dataset={"kind": "osds", "train": str(tmp_path / "train.osds"),
+                 "test": str(tmp_path / "test.osds")},
+    )
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
+    assert f"runtime error: {error}\n" in capsys.readouterr().err
 
 
 def test_verify_subcommand(tmp_path, capsys):

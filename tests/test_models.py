@@ -110,6 +110,28 @@ def test_per_sample_rows_vs_finite_differences(arch):
         assert np.abs(rows[i] - fd).max() / scale < 1e-5
 
 
+@pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.kind)
+def test_mean_gradient_writes_the_losses_of_its_forward(arch):
+    rng = np.random.default_rng(13)
+    for m in (1, 2, 3, 32, 257, 500):
+        state, _ = random_instance(arch, rng)
+        x = rng.normal(size=(m, arch.d_in))
+        if arch.kind == "quadratic":
+            y = rng.normal(size=m)
+        else:
+            y = rng.integers(0, arch.classes, size=m)
+        batch = Batch(x, y)
+        # every third entry of a larger array, so the output is strided
+        buf = np.full(3 * m, -7.0)
+        losses = buf[1::3]
+        g = mean_gradient(state, batch, losses=losses)
+        assert losses.tobytes() == loss_per_sample(state, batch).tobytes()
+        assert g.tobytes() == mean_gradient(state, batch).tobytes()
+        assert np.all(buf[0::3] == -7.0) and np.all(buf[2::3] == -7.0)
+    with pytest.raises(StructuralError):
+        mean_gradient(state, batch, losses=np.empty(m + 1))
+
+
 def test_batch_of_one_row_equals_mean_gradient():
     rng = np.random.default_rng(5)
     state, batch = random_instance(Arch("logistic", 4, classes=3), rng)

@@ -162,6 +162,28 @@ def test_loss_memory_takes_one_update_per_epoch(monkeypatch):
     assert calls == [(m.epoch, m.n_selected) for m in result.metrics]
 
 
+def test_each_minibatch_runs_one_forward_pass(monkeypatch):
+    calls = []
+
+    def spy(name):
+        fn = getattr(trainer, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("mean_gradient", "loss_per_sample", "evaluate"):
+        monkeypatch.setattr(trainer, name, spy(name))
+    result = run_training(moons_config(batch_size=7, epochs=4))
+    steps = sum(-(-m.n_selected // 7) for m in result.metrics)
+    assert calls.count("mean_gradient") == steps
+    # loss_per_sample runs only inside evaluate, once per evaluation
+    others = [name for name in calls if name != "mean_gradient"]
+    assert others == ["evaluate", "loss_per_sample"] * len(result.metrics)
+
+
 def test_oscillatory_train_loss_variance_exceeds_fixed():
     wins = 0
     for seed in range(5):
