@@ -10,6 +10,7 @@ arrays are bit-identical across platforms.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -30,7 +31,7 @@ class Dataset:
     inputs: np.ndarray  # (N, d_in) float64
     labels: np.ndarray  # int64 classes or float64 targets, (N,)
     split: str  # "train" | "test"
-    provenance: dict
+    n_classes: int  # classes a classifier over this data needs; 0 for regression
 
     @property
     def n(self) -> int:
@@ -43,12 +44,6 @@ class Dataset:
     @property
     def is_classification(self) -> bool:
         return self.labels.dtype.kind == "i"
-
-    @property
-    def n_classes(self) -> int:
-        if not self.is_classification:
-            return 0
-        return int(self.provenance.get("classes", int(self.labels.max()) + 1))
 
 
 def _check_scale(name: str, value: float) -> None:
@@ -91,11 +86,7 @@ def gen_blobs(
             per_class, d_in
         )
         labels[rows] = j
-    prov = {
-        "generator": "blobs", "seed": seed, "classes": classes,
-        "per_class": per_class, "d_in": d_in, "spread": spread,
-    }
-    return Dataset(inputs, labels, split, prov)
+    return Dataset(inputs, labels, split, classes)
 
 
 def gen_two_moons(n: int, noise: float, seed: int, split: str = "train") -> Dataset:
@@ -126,11 +117,7 @@ def gen_two_moons(n: int, noise: float, seed: int, split: str = "train") -> Data
         for start in range(0, n, _NOISE_ROWS):
             rows = inputs[start : start + _NOISE_ROWS]
             rows += noise * rng.normals(rows.size).reshape(rows.shape)
-    prov = {
-        "generator": "two_moons", "seed": seed, "n": n,
-        "noise": noise, "classes": 2,
-    }
-    return Dataset(inputs, labels, split, prov)
+    return Dataset(inputs, labels, split, 2)
 
 
 def gen_gauss_linear(
@@ -148,11 +135,7 @@ def gen_gauss_linear(
     targets = inputs @ truth
     if noise > 0.0:
         targets = targets + noise * rng.normals(n)
-    prov = {
-        "generator": "gauss_linear", "seed": seed, "n": n,
-        "d_in": d_in, "noise": noise,
-    }
-    return Dataset(inputs, targets, split, prov)
+    return Dataset(inputs, targets, split, 0)
 
 
 def inject_label_noise(ds: Dataset, rate: float, seed: int) -> Dataset:
@@ -172,19 +155,24 @@ def inject_label_noise(ds: Dataset, rate: float, seed: int) -> Dataset:
     flip = np.sort(flip)
     offsets = np.fromiter(rng.belows([classes - 1] * n_flip), np.int64, n_flip)
     labels[flip] = (labels[flip] + 1 + offsets) % classes
-    prov = dict(ds.provenance)
-    prov["label_noise"] = {"rate": rate, "seed": seed, "flipped": int(n_flip)}
-    return replace(ds, labels=labels, provenance=prov)
+    return replace(ds, labels=labels)
 
 
-def _read_exact(f, count: int, what: str) -> bytes:
-    buf = f.read(count)
-    if len(buf) != count:
+def _read_exact(f, count: int, what: str, fmt: str) -> bytes:
+    """The next count bytes of the open file f, in format fmt.
+
+    The count is checked against the bytes left in the file before anything
+    is read, so a header that claims more data than the file holds fails
+    without allocating.
+    """
+    offset = f.tell()
+    left = os.fstat(f.fileno()).st_size - offset
+    if count > left:
         raise FormatError(
-            f"truncated IDX file: wanted {count} bytes for {what} "
-            f"at offset {f.tell() - len(buf)}"
+            f"truncated {fmt} file {f.name}: wanted {count} bytes for {what} "
+            f"at offset {offset}, {left} left"
         )
-    return buf
+    return f.read(count)
 
 
 def load_idx(
@@ -197,17 +185,19 @@ def load_idx(
     if limit is not None and limit < 1:
         raise ParameterDomainError(f"{split} row limit must be >= 1, got {limit}")
     with open(images_path, "rb") as f:
-        magic, n, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
+        header = _read_exact(f, 16, "image header", "IDX")
+        magic, n, rows, cols = struct.unpack(">IIII", header)
         if magic != IDX_MAGIC_IMAGES:
             raise FormatError(
                 f"unexpected magic 0x{magic:08x} at offset 0 of {images_path} "
                 f"(want 0x{IDX_MAGIC_IMAGES:08x})"
             )
         count = n if limit is None else min(limit, n)
-        raw = _read_exact(f, count * rows * cols, "pixel data")
+        raw = _read_exact(f, count * rows * cols, "pixel data", "IDX")
         images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:
-        magic, n_labels = struct.unpack(">II", _read_exact(f, 8, "label header"))
+        header = _read_exact(f, 8, "label header", "IDX")
+        magic, n_labels = struct.unpack(">II", header)
         if magic != IDX_MAGIC_LABELS:
             raise FormatError(
                 f"unexpected magic 0x{magic:08x} at offset 0 of {labels_path} "
@@ -217,13 +207,9 @@ def load_idx(
             raise FormatError(
                 f"image/label count mismatch: {n} images vs {n_labels} labels"
             )
-        raw = _read_exact(f, count, "label data")
+        raw = _read_exact(f, count, "label data", "IDX")
         labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    prov = {
-        "generator": "idx", "images": str(images_path),
-        "labels": str(labels_path), "limit": limit, "classes": 10,
-    }
-    return Dataset(images.astype(np.float64) / 255.0, labels, split, prov)
+    return Dataset(images.astype(np.float64) / 255.0, labels, split, 10)
 
 
 def save_osds(ds: Dataset, path) -> None:
@@ -241,13 +227,13 @@ def load_osds(path, split: str = "train") -> Dataset:
         magic = f.read(4)
         if magic != OSDS_MAGIC:
             raise FormatError(f"unexpected magic {magic!r} at offset 0 of {path}")
-        version, task, classes, n, d_in = struct.unpack("<IIIQI", _read_exact(f, 24, "header"))
+        header = _read_exact(f, 24, "header", "OSDS")
+        version, task, classes, n, d_in = struct.unpack("<IIIQI", header)
         if version != OSDS_VERSION:
             raise FormatError(f"unsupported OSDS version {version}")
         inputs = np.frombuffer(
-            _read_exact(f, n * d_in * 8, "inputs"), dtype="<f8"
+            _read_exact(f, n * d_in * 8, "inputs", "OSDS"), dtype="<f8"
         ).reshape(n, d_in).copy()
-        raw_labels = np.frombuffer(_read_exact(f, n * 8, "labels"), dtype="<f8")
+        raw_labels = np.frombuffer(_read_exact(f, n * 8, "labels", "OSDS"), dtype="<f8")
         labels = raw_labels.astype(np.int64) if task == 0 else raw_labels.copy()
-    prov = {"generator": "osds", "path": str(path), "classes": classes}
-    return Dataset(inputs, labels, split, prov)
+    return Dataset(inputs, labels, split, classes)

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterDomainError, StructuralError
+from .errors import (
+    EmptyDatasetError,
+    NumericError,
+    ParameterDomainError,
+    StructuralError,
+)
 from .rng import PortableRNG
 
 _HVP_DELTA = 1e-5
@@ -87,22 +92,30 @@ def init_state(arch: Arch, rng: PortableRNG) -> ModelState:
     return ModelState(arch, np.concatenate([w1, b1, w2, b2]))
 
 
-def _check_batch(state: ModelState, batch: Batch) -> None:
+def check_batch(state: ModelState, batch: Batch, split: str | None = None) -> None:
+    """Reject data the model cannot take: the one check of the data-model
+    contract, for a minibatch or, naming it, a whole split.
+
+    Inputs must match the model's width and be finite; regression targets
+    must be finite and class labels in [0, classes).
+    """
+    where = f"{split} split: " if split else "batch "
     if batch.size == 0:
-        raise StructuralError("batch is empty")
+        raise EmptyDatasetError(f"{split} set is empty" if split else "batch is empty")
     if batch.inputs.ndim != 2 or batch.inputs.shape[1] != state.arch.d_in:
         raise StructuralError(
-            f"inputs shape {batch.inputs.shape} incompatible with d_in="
+            f"{where}inputs shape {batch.inputs.shape} incompatible with d_in="
             f"{state.arch.d_in}"
         )
     if batch.labels.shape[0] != batch.size:
-        raise StructuralError("labels/inputs row count mismatch")
+        raise StructuralError(f"{where}labels/inputs row count mismatch")
     if not np.isfinite(batch.inputs).all():
-        raise NumericError("batch inputs contain non-finite values")
-    if state.arch.kind != "quadratic":
-        labels = batch.labels
-        if labels.min() < 0 or labels.max() >= state.arch.classes:
-            raise StructuralError("class labels out of range")
+        raise NumericError(f"{where}inputs contain non-finite values")
+    if state.arch.kind == "quadratic":
+        if not np.isfinite(batch.labels).all():
+            raise NumericError(f"{where}targets contain non-finite values")
+    elif batch.labels.min() < 0 or batch.labels.max() >= state.arch.classes:
+        raise StructuralError(f"{where}class labels out of range")
 
 
 def _layers(arch: Arch, theta: np.ndarray) -> list:
@@ -203,7 +216,7 @@ def _losses(arch: Arch, theta: np.ndarray, batch: Batch) -> np.ndarray:
 
 
 def loss_per_sample(state: ModelState, batch: Batch) -> np.ndarray:
-    _check_batch(state, batch)
+    check_batch(state, batch)
     return _losses(state.arch, state.theta, batch)
 
 
@@ -213,7 +226,7 @@ def mean_loss(state: ModelState, batch: Batch) -> float:
 
 def predict(state: ModelState, batch: Batch) -> np.ndarray:
     """Top-1 class of each row; classifiers only."""
-    _check_batch(state, batch)
+    check_batch(state, batch)
     if state.arch.kind == "quadratic":
         raise ParameterDomainError("a regression model predicts no classes")
     return _forward(state.arch, state.theta, batch.inputs)[0].argmax(axis=1)
@@ -228,7 +241,7 @@ def mean_gradient(
     the same forward pass are written into it, bit-equal to what
     loss_per_sample returns, so a training step needs one forward pass.
     """
-    _check_batch(state, batch)
+    check_batch(state, batch)
     if losses is not None and losses.shape != (batch.size,):
         raise StructuralError(
             f"losses has shape {losses.shape}, expected ({batch.size},)"
@@ -238,7 +251,7 @@ def mean_gradient(
 
 def per_sample_gradients(state: ModelState, batch: Batch) -> np.ndarray:
     """One gradient row per sample; intended for small d and m."""
-    _check_batch(state, batch)
+    check_batch(state, batch)
     x, m = batch.inputs, batch.size
     if state.arch.kind == "quadratic":
         resid = x @ state.theta - batch.labels
@@ -261,13 +274,18 @@ def hessian_vector_product(
     d = state.theta.shape[0]
     if v.ndim not in (1, 2) or v.shape[-1] != d:
         raise StructuralError(f"v has shape {v.shape}, expected ({d},) or (K, {d})")
-    _check_batch(state, batch)
+    check_batch(state, batch)
     # a non-finite direction makes a non-finite perturbed theta, reported as
     # ModelState reports it; a finite one moves theta by at most 1e-5
     if not np.isfinite(v).all():
         raise NumericError("theta contains non-finite entries")
     rows = v.reshape(-1, d)
-    r = np.array([[_HVP_DELTA / max(float(np.linalg.norm(row)), 1.0)] for row in rows])
+    with np.errstate(over="ignore"):
+        norms = [float(np.linalg.norm(row)) for row in rows]
+    # a finite row whose norm overflows would get a zero step and 0/0
+    if not np.isfinite(norms).all():
+        raise NumericError("a direction's norm is non-finite: it overflows float64")
+    r = np.array([[_HVP_DELTA / max(norm, 1.0)] for norm in norms])
     plus, minus = state.theta + r * rows, state.theta - r * rows
     g_plus = _mean_gradient(state.arch, plus, batch)
     g_minus = _mean_gradient(state.arch, minus, batch)

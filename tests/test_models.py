@@ -273,3 +273,12 @@ def test_hvp_non_finite_direction_message(value):
     for v in (np.array([1.0, value, 0.0]), np.array([[1.0, 0, 0], [0, value, 0]])):
         with pytest.raises(NumericError, match="^theta contains non-finite entries$"):
             hessian_vector_product(state, batch, v)
+
+
+def test_hvp_direction_whose_norm_overflows():
+    state = ModelState(Arch("quadratic", 3), np.zeros(3))
+    batch = Batch(np.ones((2, 3)), np.zeros(2))
+    # finite, but its squared norm is 1e400
+    for v in (np.array([1e200, 0.0, 0.0]), np.array([[1.0, 0, 0], [0, 1e200, 0]])):
+        with pytest.raises(NumericError, match="norm is non-finite: it overflows"):
+            hessian_vector_product(state, batch, v)

@@ -142,9 +142,12 @@ def test_osds_round_trip(shape, classification, data):
     if classification:
         labels = data.draw(arrays(np.int64, n,
                                   elements=st.integers(min_value=0, max_value=2**31)))
+        # the header's uint32 count, whatever the labels hold
+        n_classes = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
     else:
         labels = data.draw(arrays(np.float64, n))
-    ds = Dataset(inputs, labels, "train", {})
+        n_classes = 0
+    ds = Dataset(inputs, labels, "train", n_classes)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "first.osds", Path(tmp) / "second.osds"
         save_osds(ds, first)
@@ -154,7 +157,7 @@ def test_osds_round_trip(shape, classification, data):
     assert (back.inputs.dtype, back.labels.dtype) == (np.float64, labels.dtype)
     assert back.inputs.tobytes() == inputs.tobytes()
     assert back.labels.tobytes() == labels.tobytes()
-    assert back.n_classes == ds.n_classes
+    assert back.n_classes == n_classes
 
 
 # draw sizes at the edges of the lane path: around the shortest draw cut into

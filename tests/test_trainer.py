@@ -291,7 +291,7 @@ def test_evaluate_empty_test_set_error():
     state = build_model(cfg, train)
     empty = type(train)(
         inputs=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64),
-        split="test", provenance={},
+        split="test", n_classes=2,
     )
     with pytest.raises(EmptyDatasetError):
         evaluate(state, empty)
