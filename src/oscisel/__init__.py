@@ -7,6 +7,7 @@ implicit-regularization term against brute-force oracles.
 """
 
 from .data import (
+    Batch,
     Dataset,
     gen_blobs,
     gen_gauss_linear,
@@ -19,7 +20,6 @@ from .data import (
 from .ledger import BudgetLedger
 from .models import (
     Arch,
-    Batch,
     ModelState,
     hessian_vector_product,
     init_state,
@@ -30,7 +30,6 @@ from .models import (
 )
 from .regprobe import (
     estimate_r,
-    full_batch,
     gradient_covariance_trace_hc,
     lambda_factor,
     verify_one_step_expansion,

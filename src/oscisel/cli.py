@@ -23,7 +23,6 @@ from .data import save_osds
 from .errors import ConfigError, FormatError, ParameterDomainError
 from .regprobe import (
     estimate_r,
-    full_batch,
     trial_subset_size,
     verify_one_step_expansion,
 )
@@ -210,7 +209,7 @@ def _cmd_verify(args) -> int:
         trial_subset_size(p, train.n)
     state = build_model(cfg, train)
     reports = verify_one_step_expansion(
-        state, full_batch(train), ratios, cfg.learning_rate, args.trials,
+        state, train, ratios, cfg.learning_rate, args.trials,
         seed=cfg.seed,
     )
     loaded.out_dir.mkdir(parents=True, exist_ok=True)

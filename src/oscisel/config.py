@@ -46,6 +46,9 @@ def parse_config(doc: dict) -> LoadedConfig:
             f"unsupported schema_version {doc['schema_version']!r}, "
             f"want {SCHEMA_VERSION!r}"
         )
+    for key in ("out_dir", "name"):
+        if not isinstance(doc.get(key, ""), str):
+            raise ConfigError(f"{key} must be a string, got {doc[key]!r}")
     run = RunConfig(**{k: v for k, v in doc.items() if k not in _FILE_KEYS})
     out_dir = Path(doc["out_dir"])
     if not out_dir.is_absolute():

@@ -1,5 +1,8 @@
 """Deterministic dataset generation and loading.
 
+A Dataset is a named split and also a Batch, the rows the model functions
+take, so a whole split goes to them as it is.
+
 Synthetic generators (Gaussian blobs, two moons, Gaussian linear regression),
 label-noise injection, an IDX-format image loader, and a small binary
 container ("OSDS") for writing generated datasets to disk. All generators are
@@ -27,15 +30,23 @@ _NOISE_ROWS = 4096  # two_moons rows per block of noise draws
 
 
 @dataclass(frozen=True)
-class Dataset:
-    inputs: np.ndarray  # (N, d_in) float64
-    labels: np.ndarray  # int64 classes or float64 targets, (N,)
+class Batch:
+    inputs: np.ndarray  # (m, d_in) float64
+    labels: np.ndarray  # int64 classes or float64 targets, (m,)
+
+    @property
+    def size(self) -> int:
+        return self.inputs.shape[0]
+
+
+@dataclass(frozen=True)
+class Dataset(Batch):
     split: str  # "train" | "test"
     n_classes: int  # classes a classifier over this data needs; 0 for regression
 
     @property
     def n(self) -> int:
-        return self.inputs.shape[0]
+        return self.size
 
     @property
     def d_in(self) -> int:
@@ -223,6 +234,9 @@ def save_osds(ds: Dataset, path) -> None:
 
 
 def load_osds(path, split: str = "train") -> Dataset:
+    """Read an OSDS file; a task flag other than 0 or 1, a regression class
+    count other than 0 or a class label that is not a whole number within
+    int64 is a FormatError naming the file."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != OSDS_MAGIC:
@@ -231,9 +245,22 @@ def load_osds(path, split: str = "train") -> Dataset:
         version, task, classes, n, d_in = struct.unpack("<IIIQI", header)
         if version != OSDS_VERSION:
             raise FormatError(f"unsupported OSDS version {version}")
+        if task not in (0, 1):
+            raise FormatError(f"OSDS file {path}: task flag {task} is not 0 or 1")
+        if task == 1 and classes != 0:
+            raise FormatError(
+                f"OSDS file {path}: regression header has class count {classes}, not 0"
+            )
         inputs = np.frombuffer(
             _read_exact(f, n * d_in * 8, "inputs", "OSDS"), dtype="<f8"
         ).reshape(n, d_in).copy()
         raw_labels = np.frombuffer(_read_exact(f, n * 8, "labels", "OSDS"), dtype="<f8")
+        # NaN and infinities fail the bound, which keeps the int64 cast exact
+        if task == 0 and not (
+            (np.abs(raw_labels) < 2.0**63) & (raw_labels == np.floor(raw_labels))
+        ).all():
+            raise FormatError(
+                f"OSDS file {path}: class labels must be int64 whole numbers"
+            )
         labels = raw_labels.astype(np.int64) if task == 0 else raw_labels.copy()
     return Dataset(inputs, labels, split, classes)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Batch, Dataset
 from .errors import (
     EmptyDatasetError,
     NumericError,
@@ -68,16 +69,6 @@ class ModelState:
         object.__setattr__(self, "theta", theta)
 
 
-@dataclass(frozen=True)
-class Batch:
-    inputs: np.ndarray  # (m, d_in)
-    labels: np.ndarray  # int classes or float targets, (m,)
-
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
-
-
 def init_state(arch: Arch, rng: PortableRNG) -> ModelState:
     """Zero init for logistic/quadratic; uniform +-1/sqrt(fan_in) per MLP layer."""
     if arch.kind != "mlp":
@@ -92,13 +83,14 @@ def init_state(arch: Arch, rng: PortableRNG) -> ModelState:
     return ModelState(arch, np.concatenate([w1, b1, w2, b2]))
 
 
-def check_batch(state: ModelState, batch: Batch, split: str | None = None) -> None:
+def check_batch(state: ModelState, batch: Batch) -> None:
     """Reject data the model cannot take: the one check of the data-model
-    contract, for a minibatch or, naming it, a whole split.
+    contract, for a minibatch or a whole split, whose errors name it.
 
     Inputs must match the model's width and be finite; regression targets
     must be finite and class labels in [0, classes).
     """
+    split = batch.split if isinstance(batch, Dataset) else ""
     where = f"{split} split: " if split else "batch "
     if batch.size == 0:
         raise EmptyDatasetError(f"{split} set is empty" if split else "batch is empty")

@@ -48,10 +48,6 @@ def lambda_factor(p: float) -> float:
     return (1.0 - p) / p
 
 
-def full_batch(dataset) -> Batch:
-    return Batch(inputs=dataset.inputs, labels=dataset.labels)
-
-
 def gradient_covariance_trace_hc(state: ModelState, batch: Batch) -> float:
     """Tr(H C) via one HVP quadratic form per sample deviation.
 

@@ -17,6 +17,7 @@ import os
 from dataclasses import asdict, dataclass, field
 
 from .data import (
+    Batch,
     Dataset,
     gen_blobs,
     gen_gauss_linear,
@@ -29,7 +30,6 @@ from .errors import ConfigError, ParameterDomainError
 from .ledger import BudgetLedger
 from .models import (
     Arch,
-    Batch,
     ModelState,
     check_batch,
     init_state,
@@ -38,7 +38,7 @@ from .models import (
     predict,
 )
 from . import regprobe
-from .regprobe import estimate_r, full_batch
+from .regprobe import estimate_r
 from .schedule import RatioTrajectory, constant_params, derive_params
 from .selection import POLICIES, LossMemory, update_losses
 from .rng import PortableRNG, subseed
@@ -242,7 +242,7 @@ def build_model(cfg: RunConfig, train: Dataset) -> ModelState:
     kind = _check_spec("model", cfg.model)
     arch = Arch(kind, train.d_in, cfg.model.get("hidden", 0), train.n_classes)
     state = init_state(arch, PortableRNG(subseed(cfg.seed, "model_init")))
-    check_batch(state, full_batch(train), train.split)
+    check_batch(state, train)
     return state
 
 
@@ -256,12 +256,10 @@ def make_trajectory(cfg: RunConfig) -> RatioTrajectory:
 
 def evaluate(state: ModelState, test: Dataset) -> tuple[float, float | None]:
     """Mean loss and top-1 accuracy (None for regression)."""
-    batch = full_batch(test)
-    losses = loss_per_sample(state, batch)
-    loss = float(losses.mean())
+    loss = float(loss_per_sample(state, test).mean())
     if not test.is_classification:
         return loss, None
-    return loss, float((predict(state, batch) == test.labels).mean())
+    return loss, float((predict(state, test) == test.labels).mean())
 
 
 def epoch_lr(cfg: RunConfig, epoch: int) -> float:
@@ -274,7 +272,7 @@ def epoch_lr(cfg: RunConfig, epoch: int) -> float:
 def run_training(cfg: RunConfig) -> TrainResult:
     train, test = build_datasets(cfg)
     state = build_model(cfg, train)
-    check_batch(state, full_batch(test), test.split)
+    check_batch(state, test)
     traj = make_trajectory(cfg)
     ledger = BudgetLedger(n=train.n, target_ratio=cfg.target_ratio)
     memory = LossMemory.empty(train.n)
@@ -283,7 +281,6 @@ def run_training(cfg: RunConfig) -> TrainResult:
     policy = POLICIES[cfg.policy]
     random_policy = POLICIES["random"]
     velocity = np.zeros_like(state.theta)
-    probe_batch = full_batch(train) if cfg.probe_every > 0 else None
 
     metrics: list[EpochMetrics] = []
     snapshots = []
@@ -294,7 +291,7 @@ def run_training(cfg: RunConfig) -> TrainResult:
         if probing:
             # looked up on the module at each call, so that oscibench's span
             # tracer, which patches regprobe's globals, counts these traces
-            trace_hc = regprobe.gradient_covariance_trace_hc(state, probe_batch)
+            trace_hc = regprobe.gradient_covariance_trace_hc(state, train)
             snapshots.append((epoch, state.theta.copy(), trace_hc))
             _, r_estimate = estimate_r(trace_hc, train.n, p_t, epoch_lr(cfg, epoch))
 

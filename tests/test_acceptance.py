@@ -22,7 +22,6 @@ from oscisel.models import (
     per_sample_gradients,
 )
 from oscisel.regprobe import (
-    full_batch,
     gradient_covariance_trace_hc,
     lambda_factor,
     verify_one_step_expansion,
@@ -129,7 +128,7 @@ def test_criterion_3_gradient_correctness():
 def quadratic_instance():
     ds = gen_gauss_linear(200, 20, 0.5, seed=41)
     theta = np.random.default_rng(42).normal(size=20)
-    return ModelState(Arch("quadratic", 20), theta), full_batch(ds)
+    return ModelState(Arch("quadratic", 20), theta), ds
 
 
 def test_criterion_4_one_step_prediction():

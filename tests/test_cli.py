@@ -411,6 +411,15 @@ def test_config_bad_schema_version(tmp_path):
         load_config(write_config(tmp_path, doc))
 
 
+@pytest.mark.parametrize("key", ["out_dir", "name"])
+def test_config_file_keys_must_be_strings(tmp_path, capsys, key):
+    doc = base_config(tmp_path / "run")
+    doc[key] = 5
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err == f"error: {key} must be a string, got 5\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_invalid_is_usage_exit(tmp_path, capsys):
     doc = base_config(tmp_path / "run")
     del doc["epochs"]

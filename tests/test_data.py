@@ -239,3 +239,44 @@ def test_osds_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 24)
     with pytest.raises(FormatError, match="magic"):
         load_osds(path)
+
+
+def write_osds(path, task, classes, labels):
+    """Write an OSDS file with one input column directly, bypassing save_osds."""
+    labels = np.asarray(labels, dtype="<f8")
+    header = struct.pack("<IIIQI", 1, task, classes, labels.size, 1)
+    path.write_bytes(b"OSDS" + header + np.zeros(labels.size).tobytes()
+                     + labels.tobytes())
+
+
+def test_osds_rejects_an_unknown_task_flag(tmp_path):
+    path = tmp_path / "task7.osds"
+    write_osds(path, 7, 3, [0.0, 1.0])
+    with pytest.raises(FormatError, match=f"^OSDS file {re.escape(str(path))}: "
+                                          "task flag 7 is not 0 or 1$"):
+        load_osds(path)
+
+
+def test_osds_rejects_a_regression_header_with_classes(tmp_path):
+    path = tmp_path / "regression3.osds"
+    write_osds(path, 1, 3, [0.5, 2.0])
+    with pytest.raises(FormatError, match=f"^OSDS file {re.escape(str(path))}: "
+                                          "regression header has class count 3"):
+        load_osds(path)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.5, np.nan, np.inf, -np.inf, 2.0**63, 1e300])
+def test_osds_rejects_a_class_label_that_is_not_an_int64_whole_number(tmp_path, bad):
+    path = tmp_path / "labels.osds"
+    write_osds(path, 0, 2, [0.0, bad, 1.0])
+    with pytest.raises(FormatError, match=f"^OSDS file {re.escape(str(path))}: "
+                                          "class labels must be int64 whole numbers$"):
+        load_osds(path)
+
+
+def test_osds_hand_written_file_loads(tmp_path):
+    path = tmp_path / "good.osds"
+    write_osds(path, 0, 2, [1.0, -0.0, 0.0, -2.0**63 + 1024])
+    loaded = load_osds(path)
+    assert loaded.labels.tolist() == [1, 0, 0, -2**63 + 1024]
+    assert loaded.labels.dtype == np.int64

@@ -15,7 +15,6 @@ from oscisel.models import (
 )
 from oscisel.regprobe import (
     estimate_r,
-    full_batch,
     gradient_covariance_trace_hc,
     lambda_factor,
     verify_one_step_expansion,
@@ -26,7 +25,7 @@ from oscisel.rng import subseed
 def quadratic_setup(n=120, d=8, seed=7):
     ds = gen_gauss_linear(n, d, 0.5, seed=seed)
     theta = np.random.default_rng(seed).normal(size=d)
-    return ModelState(Arch("quadratic", d), theta), full_batch(ds)
+    return ModelState(Arch("quadratic", d), theta), ds
 
 
 def dense_trace_oracle(state, batch, hessian):
@@ -69,7 +68,7 @@ def test_trace_hc_logistic_dense_oracle():
     ds = gen_blobs(3, 30, 3, 0.5, seed=2)  # N=90
     arch = Arch("logistic", 3, classes=3)  # d=12
     state = ModelState(arch, np.random.default_rng(3).normal(size=12) * 0.5)
-    batch = full_batch(ds)
+    batch = ds
     d = arch.param_count
     dense_h = np.zeros((d, d))
     h = 1e-5
@@ -165,11 +164,11 @@ def small_instances():
         "quadratic": quadratic_setup(n=90, d=6, seed=22),
         "logistic": (
             ModelState(logistic, 0.5 * rng.normal(size=logistic.param_count)),
-            full_batch(gen_blobs(3, 30, 4, 0.5, seed=23)),
+            gen_blobs(3, 30, 4, 0.5, seed=23),
         ),
         "mlp": (
             ModelState(mlp, 0.5 * rng.normal(size=mlp.param_count)),
-            full_batch(gen_two_moons(80, 0.2, seed=24)),
+            gen_two_moons(80, 0.2, seed=24),
         ),
     }
 

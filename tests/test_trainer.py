@@ -4,7 +4,7 @@ import pytest
 from oscisel.data import gen_blobs, gen_two_moons
 from oscisel.errors import EmptyDatasetError
 from oscisel.models import Batch, ModelState, loss_per_sample, mean_gradient
-from oscisel.regprobe import estimate_r, full_batch, gradient_covariance_trace_hc
+from oscisel.regprobe import estimate_r, gradient_covariance_trace_hc
 from oscisel.rng import PortableRNG, subseed
 from oscisel.schedule import RatioTrajectory, constant_params
 from oscisel.selection import POLICIES, LossMemory, update_losses
@@ -234,7 +234,7 @@ def test_snapshot_trace_is_the_trace_at_its_theta():
     arch = result.final_state.arch
     for _, theta, trace_hc in result.snapshots:
         state = ModelState(arch, theta)
-        assert trace_hc == gradient_covariance_trace_hc(state, full_batch(train))
+        assert trace_hc == gradient_covariance_trace_hc(state, train)
 
 
 def test_full_data_run_probes_r_zero():
