@@ -174,7 +174,8 @@ def _mean_gradient(
     """Batch-mean gradient at one theta (d,) or at each row of a stack (K, d).
 
     When losses is given, an array of the shape _losses returns, the
-    per-sample losses at theta are written into it, bit-equal to _losses.
+    per-sample losses at theta are written into it, bit-equal to _losses at
+    one theta and equal to rounding at a stack.
     """
     x, m = batch.inputs, batch.size
     if arch.kind == "quadratic":
@@ -195,16 +196,32 @@ def _mean_gradient(
 
 def _losses(arch: Arch, theta: np.ndarray, batch: Batch) -> np.ndarray:
     """Per-sample losses at one theta (d,) -> (m,) or at each row of a stack
-    (K, d) -> (K, m)."""
+    (K, d) -> (K, m).
+
+    A stack runs class-major: each layer's output is (K, width, m), so the
+    log-sum-exp over classes works on rows of m contiguous values instead of
+    reducing a short inner class axis per sample; at 10 classes and m = 600
+    it measured 2 to 4 times faster per theta. Its losses match one call per
+    theta to rounding, not bit for bit, so one theta, which evaluation reads
+    and training's losses equal bit for bit, keeps the row-major forward.
+    """
     if arch.kind == "quadratic":
         # one theta runs the same matrix-vector product as x @ theta
         resid = theta @ batch.inputs.T - batch.labels
         return 0.5 * resid**2
-    logp = _log_softmax(_forward(arch, theta, batch.inputs)[0])
-    picked = np.arange(batch.size), batch.labels
-    # one theta skips the leading slice: training calls this per minibatch,
-    # and that index costs about 1% of the call
-    return -logp[picked if theta.ndim == 1 else (slice(None), *picked)]
+    if theta.ndim == 1:
+        logp = _log_softmax(_forward(arch, theta, batch.inputs)[0])
+        return -logp[np.arange(batch.size), batch.labels]
+    scores = batch.inputs.T
+    for i, (w, b) in enumerate(_layers(arch, theta)):
+        if i:
+            np.maximum(scores, 0.0, out=scores)  # ReLU
+        scores = w.swapaxes(-1, -2) @ scores
+        scores += b[..., :, None]
+    scores -= scores.max(axis=-2, keepdims=True)
+    # log-sum-exp minus the picked shifted score is -log softmax
+    shifted_picked = scores[:, batch.labels, np.arange(batch.size)]
+    return np.log(np.exp(scores, out=scores).sum(axis=-2)) - shifted_picked
 
 
 def loss_per_sample(state: ModelState, batch: Batch) -> np.ndarray:

@@ -8,7 +8,9 @@ one-step prediction against Monte-Carlo subset draws. The verification takes
 a list of ratios: the loss, gradient, H grad, Tr(HC) and per-sample gradients
 are computed once for all of them, each trial's subset is drawn once and
 shared across ratios as nested prefixes, and the trials' stepped losses are
-evaluated a chunk of stacked thetas per forward pass.
+evaluated a chunk of stacked thetas per forward pass, which runs class-major
+(scores of shape (K, classes, N); see models._losses). The prediction takes R
+at the ratio m/N that the trials realize with their m = floor(pN) rows.
 """
 
 from __future__ import annotations
@@ -34,11 +36,14 @@ from .rng import subseed
 # is a constant; larger chunks measured slower (memory traffic, not calls).
 _TRACE_CHUNK = 2
 
-# Trials per stacked forward in verify_one_step_expansion. Each trial adds an
-# (N, classes) block of scores, and its temporaries, to the stack. At N = 600
-# and 10 classes, 8 trials a chunk ran about 9% faster than 4 but raised the
-# peak resident memory about 0.35 MB more, and 16 about 2.4 MB more.
-_TRIAL_CHUNK = 4
+# Trials per stacked forward in verify_one_step_expansion, set by memory.
+# Each trial adds a class-major (classes, N) block of scores to the stack. At
+# N = 600 and 10 classes (oscibench's blobs-verify) the trial loop's peak of
+# traced allocations is 0.98 MB at 4 trials a chunk, 1.27 MB at 8 and
+# 1.83 MB at 16, against 1.29 MB for the row-major forward at 4. Against that
+# forward, the peak resident memory of a benchmark run rose about 0.2 MB at 8
+# and 0.85 MB at 16, and 16 was no faster than 8.
+_TRIAL_CHUNK = 8
 
 
 def lambda_factor(p: float) -> float:
@@ -111,10 +116,12 @@ def verify_one_step_expansion(
 ) -> dict | list[dict]:
     """Monte-Carlo check of the one-step expected-loss prediction.
 
-    Each trial draws a uniform size-floor(pN) subset, takes one SGD step with
-    the subset-mean gradient, and evaluates the full-data loss. The report
-    compares the MC mean against
-    L - eta*||grad L||^2 + eta^2/2 * grad L^T H grad L + R.
+    Each trial draws a uniform size-m subset, m = floor(pN), takes one SGD
+    step with the subset-mean gradient, and evaluates the full-data loss. The
+    report compares the MC mean against
+    L - eta*||grad L||^2 + eta^2/2 * grad L^T H grad L + R, with R taken at
+    the realized ratio m/N (reported as realized_ratio), which is exact in
+    expectation for the quadratic model.
     p is one ratio, which gives one report, or a sequence of ratios, which
     gives one report per ratio in order. Everything but the trials and R is
     computed once per call, since it does not depend on p. Trial i owns
@@ -156,14 +163,21 @@ def verify_one_step_expansion(
 
     reports = []
     for q, m, row in zip(ratios, sizes, losses):
-        lam, r_term = estimate_r(trace_hc, n, q, eta)
+        # the trials step with m rows, so the subset-mean gradient's
+        # covariance carries (N-m)/m, which (1-p)/p equals only when pN is
+        # whole
+        lam, r_term = estimate_r(trace_hc, n, m / n, eta)
         mc_mean = float(row.mean())
-        mc_se = float(row.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        # the spread about row[0] is exactly 0 when every trial loss is
+        # equal; the spread about the rounded mean need not be
+        spread = (row - row[0]).std(ddof=1) if trials > 1 else 0.0
+        mc_se = float(spread / math.sqrt(trials))
         prediction = deterministic + r_term
         gap = mc_mean - prediction
         reports.append(
             {
                 "p": q,
+                "realized_ratio": m / n,
                 "m": m,
                 "trials": trials,
                 "seed": seed,

@@ -6,6 +6,7 @@ from oscisel.models import (
     Arch,
     Batch,
     ModelState,
+    _losses,
     hessian_vector_product,
     init_state,
     loss_per_sample,
@@ -282,3 +283,59 @@ def test_hvp_direction_whose_norm_overflows():
     for v in (np.array([1e200, 0.0, 0.0]), np.array([[1.0, 0, 0], [0, 1e200, 0]])):
         with pytest.raises(NumericError, match="norm is non-finite: it overflows"):
             hessian_vector_product(state, batch, v)
+
+
+# the widths verify's trial loop stacks: 10 classes, and an MLP-32
+STACK_ARCHS = [
+    Arch("logistic", 16, classes=10),
+    Arch("mlp", 8, hidden=32, classes=10),
+    Arch("quadratic", 6),
+]
+
+
+def stack_instance(arch, k, rng, m=300):
+    x = rng.normal(size=(m, arch.d_in))
+    if arch.kind == "quadratic":
+        y = rng.normal(size=m)
+    else:
+        y = rng.integers(0, arch.classes, size=m)
+    return 0.5 * rng.normal(size=(k, arch.param_count)), Batch(x, y)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("arch", STACK_ARCHS, ids=lambda a: a.kind)
+def test_stacked_losses_equal_one_call_per_theta(arch, k):
+    thetas, batch = stack_instance(arch, k, np.random.default_rng(40 + k))
+    inputs = batch.inputs.copy()
+    stacked = _losses(arch, thetas, batch)
+    assert stacked.shape == (k, batch.size)
+    assert np.array_equal(batch.inputs, inputs)  # the ReLU runs in place
+    for theta, row in zip(thetas, stacked):
+        single = _losses(arch, theta, batch)
+        # in ulps of the row's largest loss: a small loss is the difference
+        # of two larger numbers, so its own ulp is too fine a unit
+        assert np.abs(row - single).max() <= 8 * np.spacing(single.max())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308])
+@pytest.mark.parametrize("arch", STACK_ARCHS, ids=lambda a: a.kind)
+def test_stacked_losses_at_a_non_finite_theta(arch, value):
+    thetas, batch = stack_instance(arch, 3, np.random.default_rng(44), m=40)
+    thetas[1, 2] = value
+    with np.errstate(invalid="ignore", over="ignore"):
+        stacked = _losses(arch, thetas, batch)
+        singles = [_losses(arch, theta, batch) for theta in thetas]
+    # the bad theta's losses are non-finite where one call's are, and the
+    # other thetas' losses are untouched
+    assert not np.isfinite(stacked[1]).all()
+    for row, single in zip(stacked, singles):
+        assert np.array_equal(np.isfinite(row), np.isfinite(single))
+    for i in (0, 2):
+        assert np.abs(stacked[i] - singles[i]).max() <= 8 * np.spacing(singles[i].max())
+
+
+@pytest.mark.parametrize("arch", STACK_ARCHS, ids=lambda a: a.kind)
+def test_stacked_losses_reject_short_rows(arch):
+    thetas, batch = stack_instance(arch, 3, np.random.default_rng(45), m=10)
+    with pytest.raises(ValueError):
+        _losses(arch, thetas[:, :-1], batch)

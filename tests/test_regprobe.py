@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -225,3 +226,60 @@ def test_verify_overflowing_step_is_a_numeric_error():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="non-finite"):
             verify_one_step_expansion(state, batch, [0.5, 1.0], 1e120, 4)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+def test_verify_equal_trial_losses_have_zero_se(kind):
+    state, batch = small_instances()[kind]
+    # at these trial counts the mean of the equal losses rounds away from
+    # their value, so a spread about the mean is 1e-17 to 2e-16, not 0
+    for trials in (5, 7, 9, 13):
+        report = verify_one_step_expansion(state, batch, 1.0, 0.05, trials, seed=4)
+        assert np.all(report["trial_losses"] == report["trial_losses"][0])
+        assert report["mc_se"] == 0.0
+        assert report["gap_in_se"] == 0.0
+
+
+def enumerated_mean(state, batch, m, eta):
+    """Mean full-data loss after one step, over every size-m subset."""
+    grads = per_sample_gradients(state, batch)
+    losses = [
+        mean_loss(ModelState(state.arch, state.theta - eta * grads[list(s)].mean(axis=0)),
+                  batch)
+        for s in itertools.combinations(range(batch.size), m)
+    ]
+    return math.fsum(losses) / len(losses)
+
+
+def test_verify_predicts_with_the_realized_ratio():
+    rng = np.random.default_rng(26)
+    state = ModelState(Arch("quadratic", 3), rng.normal(size=3))
+    batch = Batch(rng.normal(size=(7, 3)), rng.normal(size=7))
+    # pN = 3.5: the trials step with 3 rows, so R carries (7-3)/3, not 1
+    report = verify_one_step_expansion(state, batch, 0.5, 0.3, 1)
+    assert report["m"] == 3
+    assert report["realized_ratio"] == 3 / 7
+    assert report["lambda"] == pytest.approx(4 / 3, rel=1e-15)
+    # the quadratic model's one-step identity is exact in expectation
+    assert report["prediction"] == pytest.approx(
+        enumerated_mean(state, batch, 3, 0.3), rel=1e-9
+    )
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_verify_gap_shrinks_like_eta_cubed(kind):
+    rng = np.random.default_rng(3)
+    if kind == "logistic":
+        arch = Arch("logistic", 3, classes=3)
+        batch = Batch(rng.normal(size=(7, 3)), rng.integers(0, 3, size=7))
+    else:
+        arch = Arch("mlp", 2, hidden=4, classes=2)
+        batch = gen_two_moons(7, 0.2, seed=3)
+    state = ModelState(arch, 0.5 * rng.normal(size=arch.param_count))
+    gaps = []
+    for eta in (0.05, 0.025):
+        report = verify_one_step_expansion(state, batch, 0.5, eta, 1)
+        gaps.append(enumerated_mean(state, batch, report["m"], eta) - report["prediction"])
+    # the expansion drops O(eta^3), so halving eta divides the gap by about
+    # 8; an O(eta^2) error, such as R at the wrong ratio, divides it by 4
+    assert 7.0 < gaps[0] / gaps[1] < 9.0
