@@ -26,10 +26,12 @@ def main():
         state, dataset, [0.1, 0.25, 0.5, 0.75, 0.9], eta=0.02, trials=4000, seed=1
     )
     for rep in reports:
+        # with no spread between trials, gap/SE is 0 whatever the gap
+        gap = (f"{rep['gap_in_se']:>+7.2f}" if rep["mc_se"] > 0.0
+               else f"gap={rep['gap']:.2e}")
         print(
             f"{rep['p']:>5.2f} {rep['m']:>4d} {rep['mc_mean']:>12.6f} "
-            f"{rep['prediction']:>12.6f} {rep['r_term']:>10.2e} "
-            f"{rep['gap_in_se']:>+7.2f}"
+            f"{rep['prediction']:>12.6f} {rep['r_term']:>10.2e} {gap}"
         )
     print("\nSmaller subsets (lower p) pay a larger penalty R, and the")
     print("Monte-Carlo mean tracks the prediction at every ratio.")

@@ -217,10 +217,15 @@ def _cmd_verify(args) -> int:
         for report in reports:
             report.pop("trial_losses")
             f.write(_json_line({"epoch": 0, **report}))
+            # with no spread (p = 1 steps every trial alike) a gap in
+            # standard errors would read 0 whatever the gap
+            gap = (
+                f"gap_in_se={report['gap_in_se']:.2f}" if report["mc_se"] > 0.0
+                else f"gap={report['gap']:.3g}"
+            )
             print(
                 f"p={report['p']}: mc_mean={report['mc_mean']:.8g} "
-                f"prediction={report['prediction']:.8g} "
-                f"gap_in_se={report['gap_in_se']:.2f}"
+                f"prediction={report['prediction']:.8g} {gap}"
             )
     return 0
 

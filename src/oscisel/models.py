@@ -5,7 +5,14 @@ MLP (both cross-entropy), and quadratic least-squares. Gradients are
 closed-form backprop, double precision throughout; ``mean_gradient`` can also
 hand back the per-sample losses of its forward pass. Hessian-vector products
 use symmetric finite differences of the mean gradient, which is exact (up to
-rounding) for the quadratic model.
+rounding) for the quadratic model: one call evaluates the gradient at
+theta + r v and theta - r v for every direction as one stack of thetas.
+
+One theta, which training and evaluation read, runs row-major: each layer's
+output is (m, width). A stack of thetas (K, d), which the Hessian-vector
+products and verify's trial losses run, is class-major: each layer's output
+is (K, width, m), so reductions over classes run along rows of m contiguous
+values. The two layouts agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -131,21 +138,41 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def _forward(arch: Arch, theta: np.ndarray, x: np.ndarray):
-    """Classifier logits (..., m, classes), the layers and each layer's input."""
+    """Classifier logits (m, classes) at one theta, the layers and each
+    layer's input."""
     layers = _layers(arch, theta)
     inputs = []
     scores = x
     for i, (w, b) in enumerate(layers):
         inputs.append(np.maximum(scores, 0.0, out=scores) if i else x)  # ReLU
         scores = inputs[-1] @ w
-        scores += b[..., None, :]
+        scores += b
+    return scores, layers, inputs
+
+
+def _class_major_forward(arch: Arch, theta: np.ndarray, x: np.ndarray):
+    """Classifier scores (K, classes, m) at each row of a stack (K, d), the
+    layers and each layer's input: xᵀ, then (K, width, m).
+
+    Each layer's output is Wᵀ·inputᵀ + b, so a reduction over classes runs
+    along rows of m contiguous values instead of a short inner axis per
+    sample.
+    """
+    layers = _layers(arch, theta)
+    inputs = []
+    scores = x.T
+    for i, (w, b) in enumerate(layers):
+        inputs.append(np.maximum(scores, 0.0, out=scores) if i else x.T)  # ReLU
+        scores = w.swapaxes(-1, -2) @ inputs[-1]
+        scores += b[..., :, None]
     return scores, layers, inputs
 
 
 def _layer_deltas(
     arch: Arch, theta: np.ndarray, batch: Batch, losses: np.ndarray | None = None
 ) -> list:
-    """(layer input, loss gradient w.r.t. the layer output) per layer.
+    """(layer input, loss gradient w.r.t. the layer output) per layer, at one
+    theta.
 
     Each sample's weight gradient is the outer product of the two and its
     bias gradient is the delta, so mean and per-sample gradients differ only
@@ -154,7 +181,7 @@ def _layer_deltas(
     """
     scores, layers, inputs = _forward(arch, theta, batch.inputs)
     logp = _log_softmax(scores)
-    picked = ..., np.arange(batch.size), batch.labels
+    picked = np.arange(batch.size), batch.labels
     if losses is not None:
         np.negative(logp[picked], out=losses)
     delta = np.exp(logp, out=logp)  # softmax - onehot
@@ -163,7 +190,7 @@ def _layer_deltas(
     for i in reversed(range(len(layers))):
         pairs.insert(0, (inputs[i], delta))
         if i:
-            delta = delta @ layers[i][0].swapaxes(-1, -2)
+            delta = delta @ layers[i][0].T
             delta *= inputs[i] > 0  # ReLU gate
     return pairs
 
@@ -173,9 +200,15 @@ def _mean_gradient(
 ) -> np.ndarray:
     """Batch-mean gradient at one theta (d,) or at each row of a stack (K, d).
 
-    When losses is given, an array of the shape _losses returns, the
-    per-sample losses at theta are written into it, bit-equal to _losses at
-    one theta and equal to rounding at a stack.
+    When losses, an (m,) array, is given at one theta, the per-sample losses
+    at theta are written into it, bit-equal to _losses.
+
+    A classifier stack runs class-major, as _losses does: the softmax
+    reduces over axis -2 of (K, classes, m) scores, each layer's weight
+    gradient is input·deltaᵀ / m and its bias gradient delta.sum(-1) / m,
+    and the delta backpropagates as W·delta gated by input > 0. Its
+    gradients match one call per theta to rounding, not bit for bit, so one
+    theta, which training reads, keeps the row-major backward.
     """
     x, m = batch.inputs, batch.size
     if arch.kind == "quadratic":
@@ -185,12 +218,23 @@ def _mean_gradient(
         if losses is not None:
             np.multiply(0.5, resid[..., 0] ** 2, out=losses)
         return (resid.swapaxes(-1, -2) @ x / m).reshape(theta.shape)
-    lead = theta.shape[:-1]
     parts = []
-    for inputs, delta in _layer_deltas(arch, theta, batch, losses):
-        weights = inputs.swapaxes(-1, -2) @ delta / m
-        # sum / m is what mean computes, without its Python overhead
-        parts += [weights.reshape(*lead, -1), delta.sum(axis=-2) / m]
+    if theta.ndim == 1:
+        for inputs, delta in _layer_deltas(arch, theta, batch, losses):
+            # sum / m is what mean computes, without its Python overhead
+            parts += [(inputs.T @ delta / m).ravel(), delta.sum(axis=0) / m]
+        return np.concatenate(parts)
+    scores, layers, inputs = _class_major_forward(arch, theta, x)
+    scores -= scores.max(axis=-2, keepdims=True)
+    delta = np.exp(scores, out=scores)
+    delta /= delta.sum(axis=-2, keepdims=True)
+    delta[:, batch.labels, np.arange(m)] -= 1.0  # softmax - onehot
+    for i in reversed(range(len(layers))):
+        weights = inputs[i] @ delta.swapaxes(-1, -2) / m
+        parts[:0] = [weights.reshape(len(theta), -1), delta.sum(axis=-1) / m]
+        if i:
+            delta = layers[i][0] @ delta
+            delta *= inputs[i] > 0  # ReLU gate
     return np.concatenate(parts, axis=-1)
 
 
@@ -198,12 +242,14 @@ def _losses(arch: Arch, theta: np.ndarray, batch: Batch) -> np.ndarray:
     """Per-sample losses at one theta (d,) -> (m,) or at each row of a stack
     (K, d) -> (K, m).
 
-    A stack runs class-major: each layer's output is (K, width, m), so the
-    log-sum-exp over classes works on rows of m contiguous values instead of
-    reducing a short inner class axis per sample; at 10 classes and m = 600
-    it measured 2 to 4 times faster per theta. Its losses match one call per
-    theta to rounding, not bit for bit, so one theta, which evaluation reads
-    and training's losses equal bit for bit, keeps the row-major forward.
+    A stack runs class-major through _class_major_forward, the forward that
+    _mean_gradient's stack shares: each layer's output is (K, width, m), so
+    the log-sum-exp over classes works on rows of m contiguous values instead
+    of reducing a short inner class axis per sample; at 10 classes and
+    m = 600 it measured 2 to 4 times faster per theta. Its losses match one
+    call per theta to rounding, not bit for bit, so one theta, which
+    evaluation reads and training's losses equal bit for bit, keeps the
+    row-major forward.
     """
     if arch.kind == "quadratic":
         # one theta runs the same matrix-vector product as x @ theta
@@ -212,12 +258,7 @@ def _losses(arch: Arch, theta: np.ndarray, batch: Batch) -> np.ndarray:
     if theta.ndim == 1:
         logp = _log_softmax(_forward(arch, theta, batch.inputs)[0])
         return -logp[np.arange(batch.size), batch.labels]
-    scores = batch.inputs.T
-    for i, (w, b) in enumerate(_layers(arch, theta)):
-        if i:
-            np.maximum(scores, 0.0, out=scores)  # ReLU
-        scores = w.swapaxes(-1, -2) @ scores
-        scores += b[..., :, None]
+    scores = _class_major_forward(arch, theta, batch.inputs)[0]
     scores -= scores.max(axis=-2, keepdims=True)
     # log-sum-exp minus the picked shifted score is -log softmax
     shifted_picked = scores[:, batch.labels, np.arange(batch.size)]
@@ -277,7 +318,10 @@ def hessian_vector_product(
     """H v of the batch-mean loss, via (g(t+rv) - g(t-rv)) / 2r.
 
     v is one direction (d,) or a stack of directions (K, d), one HVP per
-    row. Each row gets its own step r = 1e-5 / max(||row||, 1).
+    row. Each row gets its own step r = 1e-5 / max(||row||, 1). The 2K
+    gradients come from one stacked _mean_gradient call, class-major for
+    classifiers, on theta + r v for every row followed by theta - r v for
+    every row.
     """
     v = np.asarray(v, dtype=np.float64)
     d = state.theta.shape[0]
@@ -295,7 +339,6 @@ def hessian_vector_product(
     if not np.isfinite(norms).all():
         raise NumericError("a direction's norm is non-finite: it overflows float64")
     r = np.array([[_HVP_DELTA / max(norm, 1.0)] for norm in norms])
-    plus, minus = state.theta + r * rows, state.theta - r * rows
-    g_plus = _mean_gradient(state.arch, plus, batch)
-    g_minus = _mean_gradient(state.arch, minus, batch)
+    thetas = np.concatenate([state.theta + r * rows, state.theta - r * rows])
+    g_plus, g_minus = np.split(_mean_gradient(state.arch, thetas, batch), 2)
     return ((g_plus - g_minus) / (2.0 * r)).reshape(v.shape)

@@ -282,6 +282,22 @@ def test_verify_subcommand(tmp_path, capsys):
     assert abs(records[0]["gap_in_se"]) <= 3.0
 
 
+def test_verify_prints_the_raw_gap_when_trials_do_not_spread(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config(tmp_path / "verify"))
+    assert main(["verify", "--config", str(cfg), "--p", "1,0.5",
+                 "--trials", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    full, half = [
+        json.loads(line)
+        for line in (tmp_path / "verify" / "regprobe.jsonl").read_text().splitlines()
+    ]
+    # at p = 1 every trial takes the full step: no spread, but a gap
+    assert full["mc_se"] == 0.0 and full["gap"] != 0.0
+    assert full["gap_in_se"] == 0.0
+    assert lines[0].endswith(f" gap={full['gap']:.3g}")
+    assert lines[1].endswith(f" gap_in_se={half['gap_in_se']:.2f}")
+
+
 def test_probe_subcommand(tmp_path):
     doc = base_config(tmp_path / "probe", epochs=3,
                       dataset={"kind": "two_moons", "n_train": 60, "n_test": 30,

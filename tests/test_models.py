@@ -7,6 +7,7 @@ from oscisel.models import (
     Batch,
     ModelState,
     _losses,
+    _mean_gradient,
     hessian_vector_product,
     init_state,
     loss_per_sample,
@@ -339,3 +340,18 @@ def test_stacked_losses_reject_short_rows(arch):
     thetas, batch = stack_instance(arch, 3, np.random.default_rng(45), m=10)
     with pytest.raises(ValueError):
         _losses(arch, thetas[:, :-1], batch)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+@pytest.mark.parametrize("arch", STACK_ARCHS, ids=lambda a: a.kind)
+def test_stacked_mean_gradient_equals_one_call_per_theta(arch, k):
+    thetas, batch = stack_instance(arch, k, np.random.default_rng(50 + k))
+    inputs = batch.inputs.copy()
+    stacked = _mean_gradient(arch, thetas, batch)
+    assert stacked.shape == thetas.shape
+    assert np.array_equal(batch.inputs, inputs)  # the ReLU runs in place
+    for theta, row in zip(thetas, stacked):
+        single = _mean_gradient(arch, theta, batch)
+        # an entry is a sum of m terms of either sign, so its rounding is
+        # counted in ulps of the largest entry
+        assert np.abs(row - single).max() <= 32 * np.spacing(np.abs(single).max())

@@ -10,6 +10,7 @@ from oscisel.models import (
     Arch,
     Batch,
     ModelState,
+    _layers,
     mean_gradient,
     mean_loss,
     per_sample_gradients,
@@ -84,6 +85,59 @@ def test_trace_hc_logistic_dense_oracle():
     oracle = dense_trace_oracle(state, batch, dense_h)
     est = gradient_covariance_trace_hc(state, batch)
     assert abs(est - oracle) / abs(oracle) < 1e-3
+
+
+def fd_trace_loop(state, batch, step=1e-5):
+    """Reference loop: Tr(HC) one deviation at a time, each HVP a central
+    difference of one-theta mean gradients at r = step / max(||v||, 1)."""
+    grads = per_sample_gradients(state, batch)
+    total = 0.0
+    for v in grads - grads.mean(axis=0):
+        r = step / max(float(np.linalg.norm(v)), 1.0)
+        g_plus = mean_gradient(ModelState(state.arch, state.theta + r * v), batch)
+        g_minus = mean_gradient(ModelState(state.arch, state.theta - r * v), batch)
+        total += float(v @ ((g_plus - g_minus) / (2.0 * r)))
+    return total / (batch.size - 1)
+
+
+def trace_instances():
+    """A 10-class logistic, an MLP-32 and a quadratic (state, batch)."""
+    rng = np.random.default_rng(27)
+    logistic = Arch("logistic", 16, classes=10)
+    mlp = Arch("mlp", 2, hidden=32, classes=2)
+    return {
+        "logistic": (
+            ModelState(logistic, 0.3 * rng.normal(size=logistic.param_count)),
+            gen_blobs(10, 6, 16, 1.0, seed=28),
+        ),
+        "mlp": (
+            ModelState(mlp, 0.5 * rng.normal(size=mlp.param_count)),
+            gen_two_moons(40, 0.2, seed=29),
+        ),
+        "quadratic": quadratic_setup(n=50, d=6, seed=30),
+    }
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp", "quadratic"])
+def test_trace_hc_equals_one_deviation_at_a_time(kind):
+    state, batch = trace_instances()[kind]
+    trace = gradient_covariance_trace_hc(state, batch)
+    assert trace == pytest.approx(fd_trace_loop(state, batch), rel=1e-10)
+
+
+def test_trace_hc_is_a_finite_difference_across_a_relu_kink():
+    state, batch = trace_instances()["mlp"]
+    theta = state.theta.copy()
+    (w1, b1), _ = _layers(state.arch, theta)  # views into theta
+    # sample 0's pre-activation at hidden unit 3 is 1e-7, inside the 1e-5
+    # step, so the ReLU's kink falls between theta - rv and theta + rv
+    b1[3] -= batch.inputs[0] @ w1[:, 3] + b1[3] - 1e-7
+    kinked = ModelState(state.arch, theta)
+    trace = gradient_covariance_trace_hc(kinked, batch)
+    assert trace == pytest.approx(fd_trace_loop(kinked, batch), rel=1e-10)
+    # a 100 times smaller step does not reach the kink, and an exact HVP
+    # would not see it either: the probe is the finite difference
+    assert abs(trace - fd_trace_loop(kinked, batch, step=1e-7)) > 0.5 * abs(trace)
 
 
 def test_trace_hc_degenerate_error():
