@@ -18,6 +18,8 @@ values. The two layouts agree to rounding, not bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 
@@ -50,13 +52,19 @@ class Arch:
         if self.kind == "mlp" and self.hidden < 1:
             raise ParameterDomainError("mlp needs hidden >= 1")
 
-    @property
+    @cached_property
+    def widths(self) -> tuple[int, ...]:
+        """Classifier layer widths, () for quadratic. theta holds each layer
+        in turn: its (fan_in, fan_out) weights row-major, then its biases."""
+        hidden = (self.hidden,) if self.kind == "mlp" else ()
+        return () if self.kind == "quadratic" else (self.d_in, *hidden, self.classes)
+
+    @cached_property
     def param_count(self) -> int:
-        if self.kind == "logistic":
-            return (self.d_in + 1) * self.classes
-        if self.kind == "mlp":
-            return (self.d_in + 1) * self.hidden + (self.hidden + 1) * self.classes
-        return self.d_in
+        """Length of theta, cached: ModelState reads it on every step."""
+        if self.kind == "quadratic":
+            return self.d_in
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in pairwise(self.widths))
 
 
 @dataclass(frozen=True)
@@ -80,14 +88,11 @@ def init_state(arch: Arch, rng: PortableRNG) -> ModelState:
     """Zero init for logistic/quadratic; uniform +-1/sqrt(fan_in) per MLP layer."""
     if arch.kind != "mlp":
         return ModelState(arch, np.zeros(arch.param_count))
-    d, h, c = arch.d_in, arch.hidden, arch.classes
-    s1 = 1.0 / np.sqrt(d)
-    s2 = 1.0 / np.sqrt(h)
-    w1 = rng.uniforms(d * h, -s1, s1)
-    b1 = rng.uniforms(h, -s1, s1)
-    w2 = rng.uniforms(h * c, -s2, s2)
-    b2 = rng.uniforms(c, -s2, s2)
-    return ModelState(arch, np.concatenate([w1, b1, w2, b2]))
+    parts = []
+    for fan_in, fan_out in pairwise(arch.widths):
+        s = 1.0 / np.sqrt(fan_in)
+        parts += [rng.uniforms(fan_in * fan_out, -s, s), rng.uniforms(fan_out, -s, s)]
+    return ModelState(arch, np.concatenate(parts))
 
 
 def check_batch(state: ModelState, batch: Batch) -> None:
@@ -118,12 +123,9 @@ def check_batch(state: ModelState, batch: Batch) -> None:
 
 
 def _layers(arch: Arch, theta: np.ndarray) -> list:
-    """(weights, bias) views per layer of one theta (d,) or a stack (K, d)."""
-    widths = [arch.d_in, arch.classes]
-    if arch.kind == "mlp":
-        widths.insert(1, arch.hidden)
+    """(weights, bias) views per Arch.widths layer of one theta or a stack."""
     lead, o, layers = theta.shape[:-1], 0, []
-    for fan_in, fan_out in zip(widths, widths[1:]):
+    for fan_in, fan_out in pairwise(arch.widths):
         w = theta[..., o : o + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
         o += fan_in * fan_out
         layers.append((w, theta[..., o : o + fan_out]))
@@ -318,26 +320,23 @@ def hessian_vector_product(
     """H v of the batch-mean loss, via (g(t+rv) - g(t-rv)) / 2r.
 
     v is one direction (d,) or a stack of directions (K, d), one HVP per
-    row. Each row gets its own step r = 1e-5 / max(||row||, 1). The 2K
-    gradients come from one stacked _mean_gradient call, class-major for
-    classifiers, on theta + r v for every row followed by theta - r v for
-    every row.
+    row. Each row gets its own step r = 1e-5 / max(||row||, 1), so a row
+    whose norm is NaN or inf (a NaN, an infinity, or an overflow, which would
+    make r 0 and the quotient 0/0) is a NumericError. The 2K gradients come
+    from one stacked _mean_gradient call, class-major for classifiers, on
+    theta + r v for every row, then theta - r v for every row.
     """
     v = np.asarray(v, dtype=np.float64)
     d = state.theta.shape[0]
     if v.ndim not in (1, 2) or v.shape[-1] != d:
         raise StructuralError(f"v has shape {v.shape}, expected ({d},) or (K, {d})")
     check_batch(state, batch)
-    # a non-finite direction makes a non-finite perturbed theta, reported as
-    # ModelState reports it; a finite one moves theta by at most 1e-5
-    if not np.isfinite(v).all():
-        raise NumericError("theta contains non-finite entries")
     rows = v.reshape(-1, d)
     with np.errstate(over="ignore"):
         norms = [float(np.linalg.norm(row)) for row in rows]
-    # a finite row whose norm overflows would get a zero step and 0/0
     if not np.isfinite(norms).all():
-        raise NumericError("a direction's norm is non-finite: it overflows float64")
+        raise NumericError("a direction holds NaN or inf, or its norm is "
+                           "non-finite: it overflows float64")
     r = np.array([[_HVP_DELTA / max(norm, 1.0)] for norm in norms])
     thetas = np.concatenate([state.theta + r * rows, state.theta - r * rows])
     g_plus, g_minus = np.split(_mean_gradient(state.arch, thetas, batch), 2)

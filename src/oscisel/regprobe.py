@@ -79,6 +79,13 @@ def gradient_covariance_trace_hc(state: ModelState, batch: Batch) -> float:
     return total / (n - 1)
 
 
+def _eta_squared(eta: float) -> float:
+    try:  # Python's float ** raises a bare OverflowError above 1.34e154
+        return float(eta) ** 2
+    except OverflowError:
+        raise NumericError(f"eta**2 overflows float64 at eta={eta}") from None
+
+
 def estimate_r(
     trace_hc: float, n: int, p: float, eta: float
 ) -> tuple[float, float]:
@@ -95,7 +102,7 @@ def estimate_r(
     if p == 1.0:
         return 0.0, 0.0
     lam = lambda_factor(p)
-    return lam, eta**2 / (2.0 * n) * lam * trace_hc
+    return lam, _eta_squared(eta) / (2.0 * n) * lam * trace_hc
 
 
 def trial_subset_size(p: float, n: int) -> int:
@@ -114,29 +121,28 @@ def trial_subset_size(p: float, n: int) -> int:
 def verify_one_step_expansion(
     state: ModelState,
     batch: Batch,
-    p: float | Sequence[float],
+    ratios: Sequence[float],
     eta: float,
     trials: int,
     seed: int = 0,
-) -> dict | list[dict]:
-    """Monte-Carlo check of the one-step expected-loss prediction.
+) -> list[dict]:
+    """Monte-Carlo check of the one-step expected-loss prediction: one report
+    per ratio of ratios, in order; an empty sequence is a ParameterDomainError.
 
     Each trial draws a uniform size-m subset, m = floor(pN), takes one SGD
     step with the subset-mean gradient, and evaluates the full-data loss. The
     report compares the MC mean against
     L - eta*||grad L||^2 + eta^2/2 * grad L^T H grad L + R, with R taken at
     the realized ratio m/N (reported as realized_ratio), which is exact in
-    expectation for the quadratic model.
-    p is one ratio, which gives one report, or a sequence of ratios, which
-    gives one report per ratio in order. Everything but the trials and R is
+    expectation for the quadratic model. Everything but the trials and R is
     computed once per call, since it does not depend on p. Trial i owns
     generator subseed(seed, "trial.i") and draws one permutation, whose first
     floor(pN) rows are its subset at every p: the draws are independent of
     execution order, and the subsets are nested prefixes across p (which
     makes cross-p comparisons paired).
     """
-    single = np.ndim(p) == 0
-    ratios = [p] if single else list(p)
+    if len(ratios) == 0:
+        raise ParameterDomainError("ratios names no ratio")
     n = batch.size
     sizes = [trial_subset_size(q, n) for q in ratios]
     if trials < 1:
@@ -146,7 +152,7 @@ def verify_one_step_expansion(
     grad = mean_gradient(state, batch)
     hg = hessian_vector_product(state, batch, grad)
     deterministic = (
-        loss0 - eta * float(grad @ grad) + 0.5 * eta**2 * float(grad @ hg)
+        loss0 - eta * float(grad @ grad) + 0.5 * _eta_squared(eta) * float(grad @ hg)
     )
     trace_hc = gradient_covariance_trace_hc(state, batch)
     grads = per_sample_gradients(state, batch)
@@ -199,4 +205,4 @@ def verify_one_step_expansion(
                 "trial_losses": row,
             }
         )
-    return reports[0] if single else reports
+    return reports

@@ -145,7 +145,7 @@ def test_criterion_4_one_step_prediction():
     trace_ok = abs(est - oracle) / abs(oracle) < 1e-6
     gaps = {}
     for p in (0.1, 0.25, 0.5, 0.75, 0.9):
-        rep = verify_one_step_expansion(state, batch, p, 0.01, 10_000, seed=7)
+        rep = verify_one_step_expansion(state, batch, [p], 0.01, 10_000, seed=7)[0]
         gaps[p] = rep["gap_in_se"]
     mc_ok = all(abs(g) <= 3.0 for g in gaps.values())
     elapsed = time.monotonic() - start
@@ -165,8 +165,8 @@ def test_criterion_5_penalty_monotonicity():
     strict = all(a > b for a, b in zip(lams, lams[1:]))
     state, batch = quadratic_instance()
     # shared seed => per-trial subsets are nested prefixes: paired comparison
-    lo = verify_one_step_expansion(state, batch, 0.25, 0.05, 10_000, seed=11)
-    hi = verify_one_step_expansion(state, batch, 0.75, 0.05, 10_000, seed=11)
+    lo = verify_one_step_expansion(state, batch, [0.25], 0.05, 10_000, seed=11)[0]
+    hi = verify_one_step_expansion(state, batch, [0.75], 0.05, 10_000, seed=11)[0]
     diff = lo["trial_losses"] - hi["trial_losses"]
     se = diff.std(ddof=1) / math.sqrt(len(diff))
     ordered = (

@@ -623,3 +623,94 @@ def test_derive_rejects_epochs_below_one(capsys, epochs):
                  "--epochs", epochs]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "total_epochs" in err
+
+
+@pytest.mark.parametrize("command", [["probe", "--p", "0.5"],
+                                     ["verify", "--p", "0.5", "--trials", "4"]],
+                         ids=["probe", "verify"])
+def test_a_learning_rate_whose_square_overflows_is_a_numeric_error(tmp_path, capsys,
+                                                                   command):
+    # Python's float ** raises a bare OverflowError once eta passes 1.34e154
+    doc = base_config(tmp_path / "out", learning_rate=1e200)
+    cfg = write_config(tmp_path, doc)
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == 2
+    assert (capsys.readouterr().err
+            == "runtime error: eta**2 overflows float64 at eta=1e+200\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"policy": "nope"}, "unknown policy 'nope'"),
+        ({"schedule_mode": "nope"}, "unknown schedule_mode 'nope'"),
+        ({"lr_schedule": "step"}, "unknown lr_schedule 'step'"),
+        ({"epochs": 0}, "epochs must be >= 1"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"model": {"kind": "mlp", "hidden": 0}}, "mlp needs hidden >= 1"),
+    ],
+    ids=["policy", "schedule_mode", "lr_schedule", "epochs=0", "batch_size=0",
+         "hidden=0"],
+)
+def test_bad_run_values_name_themselves(tmp_path, capsys, overrides, message):
+    doc = base_config(tmp_path / "run", **overrides)
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_one_class_osds_header_is_a_usage_error(tmp_path, capsys):
+    from oscisel.data import Dataset, save_osds
+
+    for split in ("train", "test"):
+        save_osds(Dataset(np.zeros((4, 2)), np.zeros(4, dtype=np.int64), split, 1),
+                  tmp_path / f"{split}.osds")
+    doc = base_config(
+        tmp_path / "run", model={"kind": "logistic"},
+        dataset={"kind": "osds", "train": str(tmp_path / "train.osds"),
+                 "test": str(tmp_path / "test.osds")},
+    )
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err == "error: classifiers need classes >= 2\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1, 2]", "config root must be an object"),
+     ("{not json", "{path}: invalid JSON: Expecting property name enclosed in "
+                   "double quotes: line 1 column 2 (char 1)")],
+    ids=["not-object", "not-json"],
+)
+def test_a_malformed_config_file_is_a_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+def test_a_relative_out_dir_resolves_under_oscisel_out(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("OSCISEL_OUT", str(tmp_path / "root"))
+    doc = base_config("rel/run", epochs=1)
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 0
+    out = tmp_path / "root" / "rel" / "run"
+    assert capsys.readouterr().out.startswith(f"run complete: {out} ")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "final_theta.npy", "metrics.jsonl", "summary.json"]
+
+
+@pytest.mark.parametrize("command", ["probe", "verify"])
+def test_a_ratio_that_is_not_a_number_is_a_usage_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert main([command, "--config", str(cfg), "--p", "0.5,abc"]) == 1
+    assert capsys.readouterr().err == "error: bad ratio list '0.5,abc'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_with_no_completed_runs_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    assert main(["report", "--in", str(tmp_path / "empty")]) == 1
+    assert (capsys.readouterr().err
+            == f"error: no completed runs under [{str(tmp_path / 'empty')!r}]\n")

@@ -1,8 +1,8 @@
 """The documents name what the code accepts.
 
 docs/config.md must quote every config key and every dataset and model kind,
-and README.md must show every subcommand, so that adding one to the code
-without documenting it fails here.
+and README.md must show every subcommand and name every module, so that
+adding one to the code without documenting it fails here.
 """
 
 from dataclasses import fields
@@ -28,3 +28,10 @@ def test_readme_shows_every_subcommand():
     readme = (ROOT / "README.md").read_text()
     missing = sorted(c for c in _COMMANDS if f"oscisel {c}" not in readme)
     assert missing == [], f"README.md shows no `oscisel <cmd>` for {missing}"
+
+
+def test_readme_names_every_module():
+    readme = (ROOT / "README.md").read_text()
+    modules = sorted(p.stem for p in (ROOT / "src" / "oscisel").glob("*.py"))
+    missing = [m for m in modules if m != "__init__" and f"- `{m}` — " not in readme]
+    assert missing == [], f"README.md's module list does not name {missing}"

@@ -204,7 +204,7 @@ def test_verify_prediction_is_the_mean_over_every_subset(shape, eta, data):
     batch = Dataset(inputs, targets, "train", 0)
     # every p in (0, 1] that selects at least one row
     p = data.draw(st.floats(min_value=1.0 / n, max_value=1.0))
-    report = verify_one_step_expansion(state, batch, p, eta, 1)
+    report = verify_one_step_expansion(state, batch, [p], eta, 1)[0]
     grads = per_sample_gradients(state, batch)
     steps = [
         mean_loss(ModelState(state.arch, state.theta - eta * grads[list(s)].mean(axis=0)),

@@ -1,8 +1,11 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+
+import oscisel.regprobe
 
 from oscisel.data import gen_blobs, gen_gauss_linear, gen_two_moons
 from oscisel.errors import EmptyDatasetError, NumericError, ParameterDomainError
@@ -177,13 +180,13 @@ def test_estimate_r_full_data_limit():
 
 def test_one_step_expansion_quadratic_3se():
     state, batch = quadratic_setup(n=200, d=10, seed=11)
-    report = verify_one_step_expansion(state, batch, 0.5, 0.01, 3000, seed=5)
+    report = verify_one_step_expansion(state, batch, [0.5], 0.01, 3000, seed=5)[0]
     assert abs(report["gap_in_se"]) <= 3.0
 
 
 def test_one_step_full_batch_deterministic():
     state, batch = quadratic_setup(n=100, d=5, seed=12)
-    report = verify_one_step_expansion(state, batch, 1.0, 0.01, 50, seed=5)
+    report = verify_one_step_expansion(state, batch, [1.0], 0.01, 50, seed=5)[0]
     assert report["mc_se"] == 0.0
     assert report["r_term"] == 0.0
     assert abs(report["gap"]) < 1e-9  # quadratic: expansion exact
@@ -191,8 +194,8 @@ def test_one_step_full_batch_deterministic():
 
 def test_one_step_r_ordering_paired():
     state, batch = quadratic_setup(n=200, d=10, seed=13)
-    lo = verify_one_step_expansion(state, batch, 0.1, 0.05, 3000, seed=9)
-    hi = verify_one_step_expansion(state, batch, 0.75, 0.05, 3000, seed=9)
+    lo = verify_one_step_expansion(state, batch, [0.1], 0.05, 3000, seed=9)[0]
+    hi = verify_one_step_expansion(state, batch, [0.75], 0.05, 3000, seed=9)[0]
     assert lo["trace_hc"] > 0.0
     assert lo["r_term"] > hi["r_term"]
     # same seed => nested subsets per trial, so the difference is paired
@@ -205,9 +208,37 @@ def test_one_step_r_ordering_paired():
 def test_one_step_domain_errors():
     state, batch = quadratic_setup(n=50, d=4)
     with pytest.raises(ParameterDomainError):
-        verify_one_step_expansion(state, batch, 0.001, 0.01, 10)
+        verify_one_step_expansion(state, batch, [0.001], 0.01, 10)
     with pytest.raises(ParameterDomainError):
-        verify_one_step_expansion(state, batch, 1.2, 0.01, 10)
+        verify_one_step_expansion(state, batch, [1.2], 0.01, 10)
+
+
+@pytest.mark.parametrize(
+    "ratios, trials, message",
+    [([], 10, "ratios names no ratio"), ([0.5], 0, "trials must be >= 1")],
+    ids=["no-ratio", "no-trial"],
+)
+def test_verify_rejects_an_empty_call_before_any_work(monkeypatch, ratios, trials,
+                                                      message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify computed the loss")
+
+    monkeypatch.setattr(oscisel.regprobe, "mean_loss", no_work)
+    state, batch = quadratic_setup(n=50, d=4)
+    with pytest.raises(ParameterDomainError, match=f"^{message}$"):
+        verify_one_step_expansion(state, batch, ratios, 0.01, trials)
+
+
+@pytest.mark.parametrize("eta", [1.4e154, 1e200])
+def test_eta_whose_square_overflows_is_a_numeric_error(eta):
+    state, batch = quadratic_setup(n=50, d=4)
+    message = "^" + re.escape(f"eta**2 overflows float64 at eta={eta}") + "$"
+    with pytest.raises(NumericError, match=message):
+        estimate_r(1.0, 50, 0.5, eta)
+    # p = 1 has no R term, but the prediction's deterministic part takes eta**2
+    with pytest.raises(NumericError, match=message):
+        verify_one_step_expansion(state, batch, [1.0], eta, 2)
+    assert estimate_r(1.0, 50, 0.5, 1.3e154)[1] == 1.3e154**2 / 100.0
 
 
 def small_instances():
@@ -249,7 +280,7 @@ def test_verify_ratio_list_equals_one_call_per_ratio(kind):
     rows = verify_one_step_expansion(state, batch, ratios, 0.05, 19, seed=3)
     assert [row["p"] for row in rows] == ratios
     for p, row in zip(ratios, rows):
-        one = verify_one_step_expansion(state, batch, p, 0.05, 19, seed=3)
+        one = verify_one_step_expansion(state, batch, [p], 0.05, 19, seed=3)[0]
         assert isinstance(one, dict)
         for key in ("m", "trace_hc", "prediction", "deterministic_part"):
             assert row[key] == one[key]
@@ -263,7 +294,7 @@ def test_verify_ratio_list_equals_one_call_per_ratio(kind):
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
 def test_verify_full_ratio_trials_take_the_full_step(kind):
     state, batch = small_instances()[kind]
-    report = verify_one_step_expansion(state, batch, 1.0, 0.05, 12, seed=4)
+    report = verify_one_step_expansion(state, batch, [1.0], 0.05, 12, seed=4)[0]
     losses = report["trial_losses"]
     full = ModelState(state.arch, state.theta - 0.05 * mean_gradient(state, batch))
     # every trial's subset is the whole dataset, so every loss is one value
@@ -273,13 +304,16 @@ def test_verify_full_ratio_trials_take_the_full_step(kind):
 
 
 def test_verify_overflowing_step_is_a_numeric_error():
-    x = np.random.default_rng(25).normal(size=(20, 2))
-    state = ModelState(Arch("quadratic", 2), np.zeros(2))
-    batch = Batch(x, np.full(20, 1e200))
-    # every per-sample gradient is about 1e200, so eta * ghat overflows
+    # theta is -1.75e308, each input about 1e-155 and each residual about
+    # 1e308, so each per-sample gradient is about 1e153: every gradient norm
+    # the HVPs check is finite, and so is eta**2, but theta - eta * ghat is
+    # below -1.8e308 and overflows. The losses overflow too, hence errstate.
+    x = 1e-155 * (1.0 + np.random.default_rng(25).random((20, 1)))
+    state = ModelState(Arch("quadratic", 1), np.array([-1.75e308]))
+    batch = Batch(x, np.full(20, -1e308))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match="non-finite"):
-            verify_one_step_expansion(state, batch, [0.5, 1.0], 1e120, 4)
+        with pytest.raises(NumericError, match="^theta contains non-finite entries$"):
+            verify_one_step_expansion(state, batch, [0.5, 1.0], 1e154, 4)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
@@ -288,7 +322,7 @@ def test_verify_equal_trial_losses_have_zero_se(kind):
     # at these trial counts the mean of the equal losses rounds away from
     # their value, so a spread about the mean is 1e-17 to 2e-16, not 0
     for trials in (5, 7, 9, 13):
-        report = verify_one_step_expansion(state, batch, 1.0, 0.05, trials, seed=4)
+        report = verify_one_step_expansion(state, batch, [1.0], 0.05, trials, seed=4)[0]
         assert np.all(report["trial_losses"] == report["trial_losses"][0])
         assert report["mc_se"] == 0.0
         assert report["gap_in_se"] == 0.0
@@ -310,7 +344,7 @@ def test_verify_predicts_with_the_realized_ratio():
     state = ModelState(Arch("quadratic", 3), rng.normal(size=3))
     batch = Batch(rng.normal(size=(7, 3)), rng.normal(size=7))
     # pN = 3.5: the trials step with 3 rows, so R carries (7-3)/3, not 1
-    report = verify_one_step_expansion(state, batch, 0.5, 0.3, 1)
+    report = verify_one_step_expansion(state, batch, [0.5], 0.3, 1)[0]
     assert report["m"] == 3
     assert report["realized_ratio"] == 3 / 7
     assert report["lambda"] == pytest.approx(4 / 3, rel=1e-15)
@@ -332,7 +366,7 @@ def test_verify_gap_shrinks_like_eta_cubed(kind):
     state = ModelState(arch, 0.5 * rng.normal(size=arch.param_count))
     gaps = []
     for eta in (0.05, 0.025):
-        report = verify_one_step_expansion(state, batch, 0.5, eta, 1)
+        report = verify_one_step_expansion(state, batch, [0.5], eta, 1)[0]
         gaps.append(enumerated_mean(state, batch, report["m"], eta) - report["prediction"])
     # the expansion drops O(eta^3), so halving eta divides the gap by about
     # 8; an O(eta^2) error, such as R at the wrong ratio, divides it by 4
