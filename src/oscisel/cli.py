@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -20,7 +21,7 @@ import numpy as np
 
 from .config import SCHEMA_VERSION, LoadedConfig, load_config
 from .data import save_osds
-from .errors import ConfigError, FormatError, ParameterDomainError
+from .errors import ConfigError, FormatError, NumericError, ParameterDomainError
 from .regprobe import (
     estimate_r,
     trial_subset_size,
@@ -113,7 +114,16 @@ def _parse_ratio_list(text: str) -> list[float]:
 
 
 def _json_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=False) + "\n"
+    """record as one line of JSON, which holds no NaN or infinity: a
+    non-finite value is a NumericError that names its keys."""
+    try:
+        return json.dumps(record, sort_keys=False, allow_nan=False) + "\n"
+    except ValueError:
+        bad = [key for key, value in record.items()
+               if isinstance(value, float) and not math.isfinite(value)]
+        raise NumericError(
+            f"cannot write non-finite {', '.join(bad)} as JSON"
+        ) from None
 
 
 def _cmd_derive(args) -> int:

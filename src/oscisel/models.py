@@ -9,10 +9,14 @@ rounding) for the quadratic model: one call evaluates the gradient at
 theta + r v and theta - r v for every direction as one stack of thetas.
 
 One theta, which training and evaluation read, runs row-major: each layer's
-output is (m, width). A stack of thetas (K, d), which the Hessian-vector
-products and verify's trial losses run, is class-major: each layer's output
-is (K, width, m), so reductions over classes run along rows of m contiguous
-values. The two layouts agree to rounding, not bit for bit.
+output is (m, width), its weights and bias applied in two passes. A stack of
+thetas (K, d), which the Hessian-vector products and verify's trial losses
+run, is class-major: each layer's output is (K, width, m), so reductions over
+classes run along rows of m contiguous values, and each layer is one matrix
+product of its [W; b] block, which theta stores as one row-major
+(fan_in + 1, fan_out) array, with its input and an appended ones row; its
+gradient is one product too, written into the block's slot of the result.
+The two layouts agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -122,15 +126,27 @@ def check_batch(state: ModelState, batch: Batch) -> None:
         raise StructuralError(f"{where}class labels out of range")
 
 
-def _layers(arch: Arch, theta: np.ndarray) -> list:
-    """(weights, bias) views per Arch.widths layer of one theta or a stack."""
-    lead, o, layers = theta.shape[:-1], 0, []
+def _blocks(arch: Arch, theta: np.ndarray) -> list:
+    """One [W; b] block per Arch.widths layer of one theta or a stack: a
+    (..., fan_in + 1, fan_out) view whose first fan_in rows are the weights
+    and whose last row is the biases, which is how theta stores the layer.
+
+    A layer applied to its input with a ones row appended, [input; 1], is
+    then one matrix product, and that product's gradient has the block's
+    shape, so it can be written into the layer's slot of theta's layout.
+    """
+    lead, o, blocks = theta.shape[:-1], 0, []
     for fan_in, fan_out in pairwise(arch.widths):
-        w = theta[..., o : o + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
-        o += fan_in * fan_out
-        layers.append((w, theta[..., o : o + fan_out]))
-        o += fan_out
-    return layers
+        size = (fan_in + 1) * fan_out
+        blocks.append(theta[..., o : o + size].reshape(*lead, fan_in + 1, fan_out))
+        o += size
+    return blocks
+
+
+def _layers(arch: Arch, theta: np.ndarray) -> list:
+    """(weights, bias) views per layer of one theta or a stack: the weight
+    rows and the bias row of each _blocks block."""
+    return [(wb[..., :-1, :], wb[..., -1, :]) for wb in _blocks(arch, theta)]
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -154,20 +170,28 @@ def _forward(arch: Arch, theta: np.ndarray, x: np.ndarray):
 
 def _class_major_forward(arch: Arch, theta: np.ndarray, x: np.ndarray):
     """Classifier scores (K, classes, m) at each row of a stack (K, d), the
-    layers and each layer's input: xᵀ, then (K, width, m).
+    layers' [W; b] blocks and each layer's input with a ones row appended:
+    [xᵀ; 1] of shape (d_in + 1, m), then [relu(z); 1] of shape
+    (K, width + 1, m).
 
-    Each layer's output is Wᵀ·inputᵀ + b, so a reduction over classes runs
-    along rows of m contiguous values instead of a short inner axis per
-    sample.
+    Each layer's output is one matrix product [W; b]ᵀ·[input; 1], which adds
+    the bias inside the product; a hidden layer writes it straight into the
+    first width rows of the next input, whose ones row is set once. A
+    reduction over classes runs along rows of m contiguous values instead of
+    a short inner axis per sample.
     """
-    layers = _layers(arch, theta)
-    inputs = []
-    scores = x.T
-    for i, (w, b) in enumerate(layers):
-        inputs.append(np.maximum(scores, 0.0, out=scores) if i else x.T)  # ReLU
-        scores = w.swapaxes(-1, -2) @ inputs[-1]
-        scores += b[..., :, None]
-    return scores, layers, inputs
+    blocks = _blocks(arch, theta)
+    m = x.shape[0]
+    inputs = [np.empty((x.shape[1] + 1, m))]
+    inputs[0][:-1] = x.T
+    inputs[0][-1] = 1.0
+    for wb in blocks[:-1]:
+        hidden = np.empty((len(theta), wb.shape[-1] + 1, m))
+        hidden[:, -1] = 1.0
+        z = np.matmul(wb.swapaxes(-1, -2), inputs[-1], out=hidden[:, :-1])
+        np.maximum(z, 0.0, out=z)  # ReLU
+        inputs.append(hidden)
+    return blocks[-1].swapaxes(-1, -2) @ inputs[-1], blocks, inputs
 
 
 def _layer_deltas(
@@ -206,11 +230,15 @@ def _mean_gradient(
     at theta are written into it, bit-equal to _losses.
 
     A classifier stack runs class-major, as _losses does: the softmax
-    reduces over axis -2 of (K, classes, m) scores, each layer's weight
-    gradient is input·deltaᵀ / m and its bias gradient delta.sum(-1) / m,
-    and the delta backpropagates as W·delta gated by input > 0. Its
-    gradients match one call per theta to rounding, not bit for bit, so one
-    theta, which training reads, keeps the row-major backward.
+    reduces over axis -2 of (K, classes, m) scores, giving delta, softmax
+    minus one-hot. Each layer's summed gradient is one matrix product,
+    [input; 1]·deltaᵀ of shape (K, fan_in + 1, fan_out), whose last row is
+    the bias gradient, written straight into the layer's slot of the (K, d)
+    result, which is theta's layout; the result, the smallest array of the
+    pass, is divided by m once. The delta backpropagates through the weight
+    rows as W·delta, gated by input > 0, into the buffer of the input it
+    gates. Its gradients match one call per theta to rounding, not bit for
+    bit, so one theta, which training reads, keeps the row-major backward.
     """
     x, m = batch.inputs, batch.size
     if arch.kind == "quadratic":
@@ -220,24 +248,32 @@ def _mean_gradient(
         if losses is not None:
             np.multiply(0.5, resid[..., 0] ** 2, out=losses)
         return (resid.swapaxes(-1, -2) @ x / m).reshape(theta.shape)
-    parts = []
     if theta.ndim == 1:
+        parts = []
         for inputs, delta in _layer_deltas(arch, theta, batch, losses):
             # sum / m is what mean computes, without its Python overhead
             parts += [(inputs.T @ delta / m).ravel(), delta.sum(axis=0) / m]
         return np.concatenate(parts)
-    scores, layers, inputs = _class_major_forward(arch, theta, x)
+    scores, blocks, inputs = _class_major_forward(arch, theta, x)
     scores -= scores.max(axis=-2, keepdims=True)
     delta = np.exp(scores, out=scores)
     delta /= delta.sum(axis=-2, keepdims=True)
-    delta[:, batch.labels, np.arange(m)] -= 1.0  # softmax - onehot
-    for i in reversed(range(len(layers))):
-        weights = inputs[i] @ delta.swapaxes(-1, -2) / m
-        parts[:0] = [weights.reshape(len(theta), -1), delta.sum(axis=-1) / m]
+    delta -= np.arange(arch.classes)[:, None] == batch.labels  # softmax - onehot
+    grad = np.empty(theta.shape)
+    slots = _blocks(arch, grad)
+    for i in reversed(range(len(blocks))):
+        np.matmul(inputs[i], delta.swapaxes(-1, -2), out=slots[i])
         if i:
-            delta = layers[i][0] @ delta
-            delta *= inputs[i] > 0  # ReLU gate
-    return np.concatenate(parts, axis=-1)
+            # the layer input is read for the last time here, so the delta
+            # backpropagated through the weight rows overwrites it: a second
+            # (K, width, m) array per call was page-faulted in anew on each
+            # call once it passed about 1 MB (see regprobe._TRACE_CHUNK)
+            z = inputs[i][:, :-1]
+            gate = z > 0
+            delta = np.matmul(blocks[i][:, :-1], delta, out=z)
+            delta *= gate  # ReLU gate
+    grad /= m
+    return grad
 
 
 def _losses(arch: Arch, theta: np.ndarray, batch: Batch) -> np.ndarray:
@@ -245,7 +281,8 @@ def _losses(arch: Arch, theta: np.ndarray, batch: Batch) -> np.ndarray:
     (K, d) -> (K, m).
 
     A stack runs class-major through _class_major_forward, the forward that
-    _mean_gradient's stack shares: each layer's output is (K, width, m), so
+    _mean_gradient's stack shares: each layer is one product of its [W; b]
+    block with its input and a ones row, and its output is (K, width, m), so
     the log-sum-exp over classes works on rows of m contiguous values instead
     of reducing a short inner class axis per sample; at 10 classes and
     m = 600 it measured 2 to 4 times faster per theta. Its losses match one

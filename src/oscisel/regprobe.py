@@ -33,21 +33,26 @@ from .models import (
 from .rng import subseed
 
 # Deviations per HVP call in the trace. It fixes the summation order, so it
-# is a constant. A call stacks 2 thetas per deviation (theta ± r v), and at
-# MLP-32 each layer-sized temporary of the class-major gradient is
-# (2·chunk, 32, N) float64: 2 MB at chunk 2 and N = 2000, 4 MB at chunk 4,
-# which overflows the 2 MB per-core L2 cache. A trace on a 2-vCPU Xeon took
-# 155 ms at N = 500 and 1.87 s at N = 2000 at chunk 2, against 179 ms and
-# 2.05 s at 1, 256 ms and 3.38 s at 4, and 242 ms and 2.28 s at 8.
-_TRACE_CHUNK = 2
+# is a constant. A call stacks 2 thetas per deviation (theta ± r v). At
+# MLP-32 the class-major gradient's one large array is the hidden layer's
+# input with its ones row, (2·chunk, 33, N) float64, which the
+# backpropagated delta then overwrites: 1.1 MB at chunk 4 and N = 500, and
+# 4.2 MB at N = 2000. On a 2-vCPU Xeon (OpenBLAS 1 thread, medians of 3
+# fresh processes) one trace took 116, 93, 70, 85 and 86 ms at N = 500 and
+# chunk 1, 2, 4, 8 and 16, and 1.08, 1.36, 1.23, 1.31 and 1.21 s at
+# N = 2000. With a second such array allocated per call for the delta,
+# chunks 4 to 16 took about 190 ms at N = 500 against 80 ms at chunk 2: from
+# chunk 4 on, each call page-faulted its fresh arrays in anew, about 500
+# faults per call at chunk 4 against 2.
+_TRACE_CHUNK = 4
 
 # Trials per stacked forward in verify_one_step_expansion, set by memory.
 # Each trial adds a class-major (classes, N) block of scores to the stack. At
-# N = 600 and 10 classes (oscibench's blobs-verify) the trial loop's peak of
-# traced allocations is 0.98 MB at 4 trials a chunk, 1.27 MB at 8 and
-# 1.83 MB at 16, against 1.29 MB for the row-major forward at 4. Against that
-# forward, the peak resident memory of a benchmark run rose about 0.2 MB at 8
-# and 0.85 MB at 16, and 16 was no faster than 8.
+# N = 600 and 10 classes (oscibench's blobs-verify) the trial loop's 4,000
+# trial losses took 350, 300, 261 and 235 ms at 2, 4, 8 and 16 trials a
+# chunk (medians of 4 fresh processes, same machine), but at 16 the peak
+# resident memory of a benchmark run rose 0.7 to 0.85 MB over 8 and its
+# wall_ref did not fall beyond the runs' spread.
 _TRIAL_CHUNK = 8
 
 
@@ -148,45 +153,48 @@ def verify_one_step_expansion(
     if trials < 1:
         raise ParameterDomainError("trials must be >= 1")
 
-    loss0 = mean_loss(state, batch)
-    grad = mean_gradient(state, batch)
-    hg = hessian_vector_product(state, batch, grad)
-    deterministic = (
-        loss0 - eta * float(grad @ grad) + 0.5 * _eta_squared(eta) * float(grad @ hg)
-    )
-    trace_hc = gradient_covariance_trace_hc(state, batch)
-    grads = per_sample_gradients(state, batch)
+    # a loss or a step that overflows shows up as a non-finite reported
+    # value, which is checked below; NumPy's warnings would only precede it
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss0 = mean_loss(state, batch)
+        grad = mean_gradient(state, batch)
+        hg = hessian_vector_product(state, batch, grad)
+        deterministic = (
+            loss0 - eta * float(grad @ grad)
+            + 0.5 * _eta_squared(eta) * float(grad @ hg)
+        )
+        trace_hc = gradient_covariance_trace_hc(state, batch)
+        grads = per_sample_gradients(state, batch)
 
-    losses = np.empty((len(ratios), trials))
-    for start in range(0, trials, _TRIAL_CHUNK):
-        stop = min(start + _TRIAL_CHUNK, trials)
-        # rank[t, j] is row j's position in the permutation of trial
-        # start + t, so rank < m selects each trial's first m rows
-        rank = np.empty((stop - start, n), dtype=np.intp)
-        for i in range(start, stop):
-            perm = np.random.default_rng(subseed(seed, f"trial.{i}")).permutation(n)
-            rank[i - start, perm] = np.arange(n)
-        for row, m in zip(losses, sizes):
-            stepped = state.theta - eta * ((rank < m) @ grads / m)
-            if not np.isfinite(stepped).all():
-                raise NumericError("theta contains non-finite entries")  # as ModelState
-            row[start:stop] = _losses(state.arch, stepped, batch).mean(axis=1)
+        losses = np.empty((len(ratios), trials))
+        for start in range(0, trials, _TRIAL_CHUNK):
+            stop = min(start + _TRIAL_CHUNK, trials)
+            # rank[t, j] is row j's position in the permutation of trial
+            # start + t, so rank < m selects each trial's first m rows
+            rank = np.empty((stop - start, n), dtype=np.intp)
+            for i in range(start, stop):
+                rng = np.random.default_rng(subseed(seed, f"trial.{i}"))
+                rank[i - start, rng.permutation(n)] = np.arange(n)
+            for row, m in zip(losses, sizes):
+                stepped = state.theta - eta * ((rank < m) @ grads / m)
+                if not np.isfinite(stepped).all():  # as ModelState
+                    raise NumericError("theta contains non-finite entries")
+                row[start:stop] = _losses(state.arch, stepped, batch).mean(axis=1)
 
-    reports = []
-    for q, m, row in zip(ratios, sizes, losses):
-        # the trials step with m rows, so the subset-mean gradient's
-        # covariance carries (N-m)/m, which (1-p)/p equals only when pN is
-        # whole
-        lam, r_term = estimate_r(trace_hc, n, m / n, eta)
-        mc_mean = float(row.mean())
-        # the spread about row[0] is exactly 0 when every trial loss is
-        # equal; the spread about the rounded mean need not be
-        spread = (row - row[0]).std(ddof=1) if trials > 1 else 0.0
-        mc_se = float(spread / math.sqrt(trials))
-        prediction = deterministic + r_term
-        gap = mc_mean - prediction
-        reports.append(
-            {
+        reports = []
+        for q, m, row in zip(ratios, sizes, losses):
+            # the trials step with m rows, so the subset-mean gradient's
+            # covariance carries (N-m)/m, which (1-p)/p equals only when pN is
+            # whole
+            lam, r_term = estimate_r(trace_hc, n, m / n, eta)
+            mc_mean = float(row.mean())
+            # the spread about row[0] is exactly 0 when every trial loss is
+            # equal; the spread about the rounded mean need not be
+            spread = (row - row[0]).std(ddof=1) if trials > 1 else 0.0
+            mc_se = float(spread / math.sqrt(trials))
+            prediction = deterministic + r_term
+            gap = mc_mean - prediction
+            report = {
                 "p": q,
                 "realized_ratio": m / n,
                 "m": m,
@@ -204,5 +212,9 @@ def verify_one_step_expansion(
                 "gap_in_se": gap / mc_se if mc_se > 0.0 else 0.0,
                 "trial_losses": row,
             }
-        )
+            bad = [key for key, value in report.items()
+                   if isinstance(value, float) and not math.isfinite(value)]
+            if bad:
+                raise NumericError(f"verify at p={q}: {', '.join(bad)} not finite")
+            reports.append(report)
     return reports

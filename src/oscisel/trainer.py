@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field
 
 from .data import (
@@ -84,7 +85,9 @@ class RunConfig:
             raise ParameterDomainError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ParameterDomainError("batch_size must be >= 1")
-        if not 0.0 < self.learning_rate < math.inf:  # NaN fails too
+        # NaN fails too, and so does an int too large for a float, which
+        # Python compares exactly
+        if not 0.0 < self.learning_rate <= sys.float_info.max:
             raise ParameterDomainError("learning_rate must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterDomainError("momentum must be in [0, 1)")
@@ -284,61 +287,64 @@ def run_training(cfg: RunConfig) -> TrainResult:
 
     metrics: list[EpochMetrics] = []
     snapshots = []
-    for epoch in range(cfg.epochs):
-        p_t = traj.ratio_at(epoch)
-        probing = cfg.probe_every > 0 and epoch % cfg.probe_every == 0
-        r_estimate = None
-        if probing:
-            # looked up on the module at each call, so that oscibench's span
-            # tracer, which patches regprobe's globals, counts these traces
-            trace_hc = regprobe.gradient_covariance_trace_hc(state, train)
-            snapshots.append((epoch, state.theta.copy(), trace_hc))
-            _, r_estimate = estimate_r(trace_hc, train.n, p_t, epoch_lr(cfg, epoch))
+    # an overflow in a step leaves a non-finite theta, which the next
+    # ModelState rejects; NumPy's warnings would only precede that error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            p_t = traj.ratio_at(epoch)
+            probing = cfg.probe_every > 0 and epoch % cfg.probe_every == 0
+            r_estimate = None
+            if probing:
+                # looked up on the module at each call, so that oscibench's span
+                # tracer, which patches regprobe's globals, counts these traces
+                trace_hc = regprobe.gradient_covariance_trace_hc(state, train)
+                snapshots.append((epoch, state.theta.copy(), trace_hc))
+                _, r_estimate = estimate_r(trace_hc, train.n, p_t, epoch_lr(cfg, epoch))
 
-        # epoch 0 has no recorded losses yet: random cold start
-        active = random_policy if epoch == 0 else policy
-        # a fresh sorted array, shuffled in place into the visiting order
-        order = active(memory, p_t, rng_select)
-        rng_shuffle.shuffle(order)
-        eta = epoch_lr(cfg, epoch)
-        loss_sum = 0.0
-        # pre-update forward losses of the epoch, aligned with order; the
-        # memory takes them in one update after the last step, which is the
-        # same memory as one update per minibatch, since selection reads it
-        # only between epochs and order holds distinct indices
-        epoch_losses = np.empty(order.shape[0])
-        for start in range(0, order.shape[0], cfg.batch_size):
-            stop = start + cfg.batch_size
-            idx = order[start:stop]
-            batch = Batch(inputs=train.inputs[idx], labels=train.labels[idx])
-            losses = epoch_losses[start:stop]
-            g = mean_gradient(state, batch, losses=losses)
-            loss_sum += float(losses.sum())
-            if cfg.momentum > 0.0:
-                velocity = cfg.momentum * velocity + g
-                g = velocity
-            state = ModelState(state.arch, state.theta - eta * g)
-        memory = update_losses(memory, order, epoch_losses, epoch)
+            # epoch 0 has no recorded losses yet: random cold start
+            active = random_policy if epoch == 0 else policy
+            # a fresh sorted array, shuffled in place into the visiting order
+            order = active(memory, p_t, rng_select)
+            rng_shuffle.shuffle(order)
+            eta = epoch_lr(cfg, epoch)
+            loss_sum = 0.0
+            # pre-update forward losses of the epoch, aligned with order; the
+            # memory takes them in one update after the last step, which is the
+            # same memory as one update per minibatch, since selection reads it
+            # only between epochs and order holds distinct indices
+            epoch_losses = np.empty(order.shape[0])
+            for start in range(0, order.shape[0], cfg.batch_size):
+                stop = start + cfg.batch_size
+                idx = order[start:stop]
+                batch = Batch(inputs=train.inputs[idx], labels=train.labels[idx])
+                losses = epoch_losses[start:stop]
+                g = mean_gradient(state, batch, losses=losses)
+                loss_sum += float(losses.sum())
+                if cfg.momentum > 0.0:
+                    velocity = cfg.momentum * velocity + g
+                    g = velocity
+                state = ModelState(state.arch, state.theta - eta * g)
+            memory = update_losses(memory, order, epoch_losses, epoch)
 
-        n_selected = order.shape[0]
-        ledger.record_epoch(epoch, n_selected)
-        cumulative = ledger.total_passes() / ((epoch + 1) * train.n)
-        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            test_loss, test_acc = evaluate(state, test)
-        else:
-            test_loss, test_acc = None, None
-        metrics.append(
-            EpochMetrics(
-                epoch=epoch,
-                p_t=p_t,
-                n_selected=n_selected,
-                cumulative_ratio=cumulative,
-                train_loss=loss_sum / n_selected,
-                test_loss=test_loss,
-                test_accuracy=test_acc,
-                R_estimate=r_estimate,
+            n_selected = order.shape[0]
+            ledger.record_epoch(epoch, n_selected)
+            cumulative = ledger.total_passes() / ((epoch + 1) * train.n)
+            if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
+                test_loss, test_acc = evaluate(state, test)
+            else:
+                test_loss, test_acc = None, None
+            metrics.append(
+                EpochMetrics(
+                    epoch=epoch,
+                    p_t=p_t,
+                    n_selected=n_selected,
+                    cumulative_ratio=cumulative,
+                    train_loss=loss_sum / n_selected,
+                    test_loss=test_loss,
+                    test_accuracy=test_acc,
+                    R_estimate=r_estimate,
+                )
             )
-        )
     return TrainResult(
         metrics=metrics,
         final_state=state,

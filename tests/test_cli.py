@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import oscisel.regprobe
 import oscisel.trainer
 from oscisel.cli import main
 from oscisel.config import load_config, parse_config
-from oscisel.errors import ConfigError
+from oscisel.errors import ConfigError, NumericError
 from oscisel.rng import subseed
 
 
@@ -639,6 +642,52 @@ def test_a_learning_rate_whose_square_overflows_is_a_numeric_error(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_verify_with_a_non_finite_report_is_a_numeric_error(tmp_path, capsys):
+    from oscisel.data import Dataset, save_osds
+
+    # the losses overflow to inf while the gradients and the step stay
+    # finite (as in test_regprobe's instance), so only the report would hold
+    # inf and NaN, which JSON cannot
+    for split in ("train", "test"):
+        save_osds(Dataset(np.full((6, 1), 0.5), np.full(6, 2e154), split, 0),
+                  tmp_path / f"{split}.osds")
+    doc = base_config(
+        tmp_path / "verify", model={"kind": "quadratic"}, learning_rate=1e-160,
+        dataset={"kind": "osds", "train": str(tmp_path / "train.osds"),
+                 "test": str(tmp_path / "test.osds")},
+    )
+    cfg = write_config(tmp_path, doc)
+    assert main(["verify", "--config", str(cfg), "--p", "0.5", "--trials", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "runtime error: verify at p=0.5: mc_mean, mc_se, deterministic_part, "
+        "prediction, gap not finite\n"
+    )
+    assert not (tmp_path / "verify" / "regprobe.jsonl").exists()
+
+
+def test_json_lines_refuse_non_finite_values():
+    record = {"p": 0.5, "trace_HC": float("nan"), "R": float("-inf")}
+    with pytest.raises(NumericError,
+                       match="^cannot write non-finite trace_HC, R as JSON$"):
+        oscisel.cli._json_line(record)
+
+
+def test_a_run_that_overflows_prints_only_its_typed_error(tmp_path):
+    # the first step leaves theta near 1e200, the next forward overflows and
+    # its gradient is NaN; the run is a subprocess, so that stderr is what a
+    # user sees, NumPy's warnings included
+    doc = base_config(tmp_path / "run", learning_rate=1e200)
+    src = str(Path(oscisel.cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "oscisel.cli", "run",
+         "--config", str(write_config(tmp_path, doc))],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    assert done.stderr == "runtime error: theta contains non-finite entries\n"
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -648,9 +697,11 @@ def test_a_learning_rate_whose_square_overflows_is_a_numeric_error(tmp_path, cap
         ({"epochs": 0}, "epochs must be >= 1"),
         ({"batch_size": 0}, "batch_size must be >= 1"),
         ({"model": {"kind": "mlp", "hidden": 0}}, "mlp needs hidden >= 1"),
+        # JSON reads 1 followed by 400 zeros as an int, beyond float range
+        ({"learning_rate": 10**400}, "learning_rate must be finite and > 0"),
     ],
     ids=["policy", "schedule_mode", "lr_schedule", "epochs=0", "batch_size=0",
-         "hidden=0"],
+         "hidden=0", "learning_rate=int-beyond-float"],
 )
 def test_bad_run_values_name_themselves(tmp_path, capsys, overrides, message):
     doc = base_config(tmp_path / "run", **overrides)

@@ -4,8 +4,9 @@ Each test states an invariant for every input Hypothesis can build, not only
 for grid points: prefix budget safety of the schedule under the subset floor,
 soundness of the budget ledger, the bounds of the subset size, the
 hard-mining order, the OSDS file round trip, a portable stream that does
-not depend on how its words are drawn, and the one-step identity that the
-implicit regularizer rests on.
+not depend on how its words are drawn, the one-step identity that the
+implicit regularizer rests on, and stacked model kernels that compute what
+one call per theta does.
 """
 
 import itertools
@@ -17,10 +18,10 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from oscisel.data import Dataset, load_osds, save_osds  # noqa: E402
+from oscisel.data import Batch, Dataset, load_osds, save_osds  # noqa: E402
 from oscisel.errors import (  # noqa: E402
     BudgetViolationError,
     ParameterDomainError,
@@ -31,6 +32,9 @@ from oscisel.ledger import BudgetLedger  # noqa: E402
 from oscisel.models import (  # noqa: E402
     Arch,
     ModelState,
+    _forward,
+    _losses,
+    _mean_gradient,
     mean_loss,
     per_sample_gradients,
 )
@@ -217,3 +221,56 @@ def test_verify_prediction_is_the_mean_over_every_subset(shape, eta, data):
     # measured at up to about 3e-11 of the loss scale
     scale = max(abs(exact), mean_loss(state, batch))
     assert abs(report["prediction"] - exact) <= 1e-9 * scale
+
+
+def _rounding_scales(arch, theta, batch):
+    """(gradient, loss) magnitudes that the rounding of one theta's mean
+    gradient and losses is counted in.
+
+    Each is the largest value of the same sums with every input, weight and
+    residual replaced by its magnitude, and every softmax-minus-onehot entry
+    by 1: an entry of the picked class is p - 1, formed by cancellation when
+    p is near 1, so its rounding is of the order of one ulp of 1, not of the
+    entry. Neither scale is below the largest entry it bounds.
+    """
+    x, m = np.abs(batch.inputs), batch.size
+    if arch.kind == "quadratic":
+        terms = x @ np.abs(theta) + np.abs(batch.labels)  # bounds |x·theta - y|
+        return (x.T @ terms).max() / m, (terms**2).max()
+    scores, layers, inputs = _forward(arch, np.abs(theta), x)
+    delta, grad = np.ones_like(scores), 0.0
+    for (w, _), a in zip(reversed(layers), reversed(inputs)):
+        grad = max(grad, (a.T @ delta).max() / m, delta.max())  # weights, bias
+        delta = delta @ np.abs(w).T
+    return grad, max(1.0, scores.max())
+
+
+@given(
+    kind=st.sampled_from(["logistic", "mlp", "quadratic"]),
+    d_in=st.integers(min_value=1, max_value=4),
+    hidden=st.integers(min_value=1, max_value=8),
+    classes=st.integers(min_value=2, max_value=5),
+    m=st.integers(min_value=1, max_value=40),
+    k=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(kind="mlp", d_in=1, hidden=1, classes=2, m=1, k=1, seed=0)
+def test_stacked_kernels_equal_one_call_per_theta(kind, d_in, hidden, classes, m, k,
+                                                  seed):
+    # the stacked (K, d) kernels fold each layer's bias into its matrix
+    # product through a ones row and write each gradient into theta's slot,
+    # so a wrong row or slot shows at the smallest sizes
+    arch = Arch(kind, d_in, hidden if kind == "mlp" else 0,
+                0 if kind == "quadratic" else classes)
+    rng = np.random.default_rng(seed)
+    labels = rng.normal(size=m) if kind == "quadratic" else rng.integers(0, classes, m)
+    batch = Batch(rng.normal(size=(m, d_in)), labels)
+    thetas = 0.5 * rng.normal(size=(k, arch.param_count))
+    grads, losses = _mean_gradient(arch, thetas, batch), _losses(arch, thetas, batch)
+    assert grads.shape == thetas.shape and losses.shape == (k, m)
+    for theta, grad, loss in zip(thetas, grads, losses):
+        grad_scale, loss_scale = _rounding_scales(arch, theta, batch)
+        single = _mean_gradient(arch, theta, batch)
+        assert np.abs(grad - single).max() <= 32 * np.spacing(grad_scale)
+        single = _losses(arch, theta, batch)
+        assert np.abs(loss - single).max() <= 8 * np.spacing(loss_scale)

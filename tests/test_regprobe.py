@@ -316,6 +316,17 @@ def test_verify_overflowing_step_is_a_numeric_error():
             verify_one_step_expansion(state, batch, [0.5, 1.0], 1e154, 4)
 
 
+def test_verify_names_the_report_values_that_are_not_finite():
+    # 0.5 * (2e154)**2 overflows, so the losses are inf, while every
+    # gradient (-1e154 per sample), the stepped theta (1e-6) and eta**2
+    # (1e-320) stay finite and no earlier check fires
+    state = ModelState(Arch("quadratic", 1), np.zeros(1))
+    batch = Batch(np.full((6, 1), 0.5), np.full(6, 2e154))
+    message = "verify at p=0.5: mc_mean, mc_se, deterministic_part, prediction, gap"
+    with pytest.raises(NumericError, match=f"^{message} not finite$"):
+        verify_one_step_expansion(state, batch, [0.5], 1e-160, 4)
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
 def test_verify_equal_trial_losses_have_zero_se(kind):
     state, batch = small_instances()[kind]
