@@ -126,6 +126,21 @@ def _json_line(record: dict) -> str:
         ) from None
 
 
+def _check_out_dir(path: Path) -> None:
+    """Reject an output directory that cannot be made, before any work runs:
+    the path or its nearest existing parent is not a directory. Nothing is
+    created, so a failed command leaves no directory behind."""
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if existing.is_dir():
+                return
+            if existing == path:
+                raise _UsageError(f"output directory {path} exists and is not "
+                                  f"a directory")
+            raise _UsageError(f"output directory {path} cannot be made: "
+                              f"{existing} is not a directory")
+
+
 def _cmd_derive(args) -> int:
     params = derive_params(args.target_ratio, args.epsilon)
     # built before anything is printed, so a bad --epochs prints nothing
@@ -165,6 +180,7 @@ def _write_run_outputs(loaded: LoadedConfig, result, wall_time: float) -> None:
 
 def _cmd_run(args) -> int:
     loaded = load_config(args.config)
+    _check_out_dir(loaded.out_dir)
     start = time.monotonic()
     result = run_training(loaded.run)
     _write_run_outputs(loaded, result, time.monotonic() - start)
@@ -179,6 +195,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_probe(args) -> int:
     loaded = load_config(args.config)
+    _check_out_dir(loaded.out_dir)
     ratios = _parse_ratio_list(args.p)
     bad = [p for p in ratios if not 0.0 < p < 1.0]
     if bad:
@@ -210,6 +227,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_verify(args) -> int:
     loaded = load_config(args.config)
+    _check_out_dir(loaded.out_dir)
     ratios = _parse_ratio_list(args.p)
     if args.trials < 1:
         raise ParameterDomainError(f"--trials must be >= 1, got {args.trials}")
@@ -249,8 +267,9 @@ def _cmd_gen_data(args) -> int:
     spec = {"kind": args.kind}
     spec.update({k: getattr(args, k, default)
                  for k, (_, default) in _GEN_DATA_FLAGS.items() if k in read})
-    train, test = datasets_from_spec(spec, args.seed)
     out = Path(args.out)
+    _check_out_dir(out)
+    train, test = datasets_from_spec(spec, args.seed)
     out.mkdir(parents=True, exist_ok=True)
     save_osds(train, out / "train.osds")
     save_osds(test, out / "test.osds")
@@ -259,13 +278,19 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _load_run_dir(run_dir: Path) -> dict:
     path = run_dir / "summary.json"
-    with open(path) as f:
-        try:
-            summary = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: parse error: {exc}") from exc
+    try:
+        summary = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: parse error: {exc}") from exc
     if not isinstance(summary, dict):
         raise FormatError(f"{path}: not a JSON object")
     if summary.get("schema_version") != SCHEMA_VERSION:
@@ -281,18 +306,16 @@ def _load_run_dir(run_dir: Path) -> dict:
     if not isinstance(summary.get("name", ""), str):
         raise FormatError(f"{path}: name must be a string, got {summary['name']!r}")
     final_acc = None
-    with open(run_dir / "metrics.jsonl") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(
-                    f"{run_dir / 'metrics.jsonl'}:{lineno}: parse error: {exc}"
-                ) from exc
-            if record.get("test_accuracy") is not None:
-                final_acc = record["test_accuracy"]
+    path = run_dir / "metrics.jsonl"
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: parse error: {exc}") from exc
+        if record.get("test_accuracy") is not None:
+            final_acc = record["test_accuracy"]
     return {
         "name": summary.get("name", run_dir.name),
         "final_accuracy": final_acc,

@@ -58,10 +58,18 @@ def parse_config(doc: dict) -> LoadedConfig:
 
 
 def load_config(path) -> LoadedConfig:
+    """The config file at path, parsed. A path that names a directory or
+    passes through a file, text that is not UTF-8 and invalid JSON are each
+    a ConfigError that names the file; a missing file stays a
+    FileNotFoundError."""
     path = Path(path)
-    with open(path) as f:
-        try:
+    try:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except (IsADirectoryError, NotADirectoryError) as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return parse_config(doc)

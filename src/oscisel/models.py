@@ -5,8 +5,9 @@ MLP (both cross-entropy), and quadratic least-squares. Gradients are
 closed-form backprop, double precision throughout; ``mean_gradient`` can also
 hand back the per-sample losses of its forward pass. Hessian-vector products
 use symmetric finite differences of the mean gradient, which is exact (up to
-rounding) for the quadratic model: one call evaluates the gradient at
-theta + r v and theta - r v for every direction as one stack of thetas.
+rounding) for the quadratic model: one call takes any number of directions
+and evaluates the gradient at theta + r v and theta - r v for _HVP_CHUNK
+directions at a time as one stack of thetas.
 
 One theta, which training and evaluation read, runs row-major: each layer's
 output is (m, width), its weights and bias applied in two passes. A stack of
@@ -16,7 +17,8 @@ classes run along rows of m contiguous values, and each layer is one matrix
 product of its [W; b] block, which theta stores as one row-major
 (fan_in + 1, fan_out) array, with its input and an appended ones row; its
 gradient is one product too, written into the block's slot of the result.
-The two layouts agree to rounding, not bit for bit.
+The two layouts agree to rounding, not bit for bit. _blocks is the one map
+of theta, a stack or a gradient onto layers, for every layout.
 """
 
 from __future__ import annotations
@@ -37,6 +39,15 @@ from .errors import (
 from .rng import PortableRNG
 
 _HVP_DELTA = 1e-5
+
+# Directions per stacked gradient call in hessian_vector_product. Each call
+# runs the stack theta ± r v, 2·chunk thetas. At MLP-32 the class-major
+# gradient's one large array is the hidden layer's input with its ones row,
+# (2·chunk, 33, N) float64: 1.1 MB at chunk 4 and N = 500, 4.2 MB at
+# N = 2000. One Tr(HC) at N = 500 took 116, 93, 70, 85 and 86 ms at chunk 1,
+# 2, 4, 8 and 16 (2-vCPU Xeon, OpenBLAS 1 thread, medians of 3 processes).
+# Each row's quotient is its own, so the chunk changes no value.
+_HVP_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -90,13 +101,13 @@ class ModelState:
 
 def init_state(arch: Arch, rng: PortableRNG) -> ModelState:
     """Zero init for logistic/quadratic; uniform +-1/sqrt(fan_in) per MLP layer."""
-    if arch.kind != "mlp":
-        return ModelState(arch, np.zeros(arch.param_count))
-    parts = []
-    for fan_in, fan_out in pairwise(arch.widths):
-        s = 1.0 / np.sqrt(fan_in)
-        parts += [rng.uniforms(fan_in * fan_out, -s, s), rng.uniforms(fan_out, -s, s)]
-    return ModelState(arch, np.concatenate(parts))
+    theta = np.zeros(arch.param_count)
+    if arch.kind == "mlp":
+        for wb in _blocks(arch, theta):
+            (fan_in, fan_out), s = wb[:-1].shape, 1.0 / np.sqrt(len(wb) - 1)
+            wb[:-1] = rng.uniforms(fan_in * fan_out, -s, s).reshape(fan_in, fan_out)
+            wb[-1] = rng.uniforms(fan_out, -s, s)
+    return ModelState(arch, theta)
 
 
 def check_batch(state: ModelState, batch: Batch) -> None:
@@ -143,12 +154,6 @@ def _blocks(arch: Arch, theta: np.ndarray) -> list:
     return blocks
 
 
-def _layers(arch: Arch, theta: np.ndarray) -> list:
-    """(weights, bias) views per layer of one theta or a stack: the weight
-    rows and the bias row of each _blocks block."""
-    return [(wb[..., :-1, :], wb[..., -1, :]) for wb in _blocks(arch, theta)]
-
-
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=-1, keepdims=True)
     shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -156,16 +161,16 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def _forward(arch: Arch, theta: np.ndarray, x: np.ndarray):
-    """Classifier logits (m, classes) at one theta, the layers and each
-    layer's input."""
-    layers = _layers(arch, theta)
+    """Classifier logits (m, classes) at one theta, the layers' [W; b]
+    blocks and each layer's input; wb[:-1] and wb[-1] apply in two passes."""
+    blocks = _blocks(arch, theta)
     inputs = []
     scores = x
-    for i, (w, b) in enumerate(layers):
+    for i, wb in enumerate(blocks):
         inputs.append(np.maximum(scores, 0.0, out=scores) if i else x)  # ReLU
-        scores = inputs[-1] @ w
-        scores += b
-    return scores, layers, inputs
+        scores = inputs[-1] @ wb[:-1]
+        scores += wb[-1]
+    return scores, blocks, inputs
 
 
 def _class_major_forward(arch: Arch, theta: np.ndarray, x: np.ndarray):
@@ -205,7 +210,7 @@ def _layer_deltas(
     in how they reduce these pairs. When losses is given, the per-sample
     losses of the same forward pass are written into it.
     """
-    scores, layers, inputs = _forward(arch, theta, batch.inputs)
+    scores, blocks, inputs = _forward(arch, theta, batch.inputs)
     logp = _log_softmax(scores)
     picked = np.arange(batch.size), batch.labels
     if losses is not None:
@@ -213,10 +218,10 @@ def _layer_deltas(
     delta = np.exp(logp, out=logp)  # softmax - onehot
     delta[picked] -= 1.0
     pairs = []
-    for i in reversed(range(len(layers))):
+    for i in reversed(range(len(blocks))):
         pairs.insert(0, (inputs[i], delta))
         if i:
-            delta = delta @ layers[i][0].T
+            delta = delta @ blocks[i][:-1].T
             delta *= inputs[i] > 0  # ReLU gate
     return pairs
 
@@ -229,16 +234,18 @@ def _mean_gradient(
     When losses, an (m,) array, is given at one theta, the per-sample losses
     at theta are written into it, bit-equal to _losses.
 
-    A classifier stack runs class-major, as _losses does: the softmax
+    A classifier writes each layer's summed gradient into the layer's
+    _blocks slot of one result in theta's layout, and divides that result,
+    the smallest array of the pass, by m once. One theta runs row-major: a
+    slot takes inputᵀ·delta in its weight rows and delta summed over samples
+    in its bias row. A stack runs class-major, as _losses does: the softmax
     reduces over axis -2 of (K, classes, m) scores, giving delta, softmax
-    minus one-hot. Each layer's summed gradient is one matrix product,
-    [input; 1]·deltaᵀ of shape (K, fan_in + 1, fan_out), whose last row is
-    the bias gradient, written straight into the layer's slot of the (K, d)
-    result, which is theta's layout; the result, the smallest array of the
-    pass, is divided by m once. The delta backpropagates through the weight
-    rows as W·delta, gated by input > 0, into the buffer of the input it
-    gates. Its gradients match one call per theta to rounding, not bit for
-    bit, so one theta, which training reads, keeps the row-major backward.
+    minus one-hot, and a slot is one matrix product, [input; 1]·deltaᵀ of
+    shape (K, fan_in + 1, fan_out), whose last row is the bias gradient. The
+    delta backpropagates through the weight rows as W·delta, gated by
+    input > 0, into the buffer of the input it gates. Its gradients match
+    one call per theta to rounding, not bit for bit, so one theta, which
+    training reads, keeps the row-major backward.
     """
     x, m = batch.inputs, batch.size
     if arch.kind == "quadratic":
@@ -248,31 +255,31 @@ def _mean_gradient(
         if losses is not None:
             np.multiply(0.5, resid[..., 0] ** 2, out=losses)
         return (resid.swapaxes(-1, -2) @ x / m).reshape(theta.shape)
-    if theta.ndim == 1:
-        parts = []
-        for inputs, delta in _layer_deltas(arch, theta, batch, losses):
-            # sum / m is what mean computes, without its Python overhead
-            parts += [(inputs.T @ delta / m).ravel(), delta.sum(axis=0) / m]
-        return np.concatenate(parts)
-    scores, blocks, inputs = _class_major_forward(arch, theta, x)
-    scores -= scores.max(axis=-2, keepdims=True)
-    delta = np.exp(scores, out=scores)
-    delta /= delta.sum(axis=-2, keepdims=True)
-    delta -= np.arange(arch.classes)[:, None] == batch.labels  # softmax - onehot
     grad = np.empty(theta.shape)
     slots = _blocks(arch, grad)
-    for i in reversed(range(len(blocks))):
-        np.matmul(inputs[i], delta.swapaxes(-1, -2), out=slots[i])
-        if i:
-            # the layer input is read for the last time here, so the delta
-            # backpropagated through the weight rows overwrites it: a second
-            # (K, width, m) array per call was page-faulted in anew on each
-            # call once it passed about 1 MB (see regprobe._TRACE_CHUNK)
-            z = inputs[i][:, :-1]
-            gate = z > 0
-            delta = np.matmul(blocks[i][:, :-1], delta, out=z)
-            delta *= gate  # ReLU gate
-    grad /= m
+    if theta.ndim == 1:
+        pairs = _layer_deltas(arch, theta, batch, losses)
+        for slot, (inputs, delta) in zip(slots, pairs):
+            np.matmul(inputs.T, delta, out=slot[:-1])
+            delta.sum(axis=0, out=slot[-1])
+    else:
+        scores, blocks, inputs = _class_major_forward(arch, theta, x)
+        scores -= scores.max(axis=-2, keepdims=True)
+        delta = np.exp(scores, out=scores)
+        delta /= delta.sum(axis=-2, keepdims=True)
+        delta -= np.arange(arch.classes)[:, None] == batch.labels  # softmax - onehot
+        for i in reversed(range(len(blocks))):
+            np.matmul(inputs[i], delta.swapaxes(-1, -2), out=slots[i])
+            if i:
+                # the layer input is read for the last time here, so the delta
+                # backpropagated through the weight rows overwrites it: a
+                # second (K, width, m) array per call was page-faulted in anew
+                # on each call once it passed about 1 MB (see _HVP_CHUNK)
+                z = inputs[i][:, :-1]
+                gate = z > 0
+                delta = np.matmul(blocks[i][:, :-1], delta, out=z)
+                delta *= gate  # ReLU gate
+    grad /= m  # sum / m is what mean computes, without its Python overhead
     return grad
 
 
@@ -339,16 +346,18 @@ def mean_gradient(
 
 
 def per_sample_gradients(state: ModelState, batch: Batch) -> np.ndarray:
-    """One gradient row per sample; intended for small d and m."""
+    """One gradient row per sample, (m, d), for small d and m; a classifier's
+    rows are written through _blocks as input ⊗ delta, then delta."""
     check_batch(state, batch)
-    x, m = batch.inputs, batch.size
     if state.arch.kind == "quadratic":
-        resid = x @ state.theta - batch.labels
-        return resid[:, None] * x
-    parts = []
-    for inputs, delta in _layer_deltas(state.arch, state.theta, batch):
-        parts += [np.einsum("mi,mo->mio", inputs, delta).reshape(m, -1), delta]
-    return np.concatenate(parts, axis=1)
+        resid = batch.inputs @ state.theta - batch.labels
+        return resid[:, None] * batch.inputs
+    grads = np.empty((batch.size, state.arch.param_count))
+    pairs = _layer_deltas(state.arch, state.theta, batch)
+    for slot, (inputs, delta) in zip(_blocks(state.arch, grads), pairs):
+        np.multiply(inputs[:, :, None], delta[:, None, :], out=slot[:, :-1])
+        slot[:, -1] = delta
+    return grads
 
 
 def hessian_vector_product(
@@ -356,12 +365,13 @@ def hessian_vector_product(
 ) -> np.ndarray:
     """H v of the batch-mean loss, via (g(t+rv) - g(t-rv)) / 2r.
 
-    v is one direction (d,) or a stack of directions (K, d), one HVP per
-    row. Each row gets its own step r = 1e-5 / max(||row||, 1), so a row
-    whose norm is NaN or inf (a NaN, an infinity, or an overflow, which would
-    make r 0 and the quotient 0/0) is a NumericError. The 2K gradients come
-    from one stacked _mean_gradient call, class-major for classifiers, on
-    theta + r v for every row, then theta - r v for every row.
+    v is one direction (d,) or a stack of any number of directions (K, d),
+    K = 0 included, one HVP per row. Each row gets its own step
+    r = 1e-5 / max(||row||, 1), so a row whose norm is NaN or inf (a NaN, an
+    infinity, or an overflow, which would make r 0 and the quotient 0/0) is
+    a NumericError. Each _HVP_CHUNK rows take one stacked _mean_gradient
+    call, class-major for classifiers, on theta + r v for each row, then
+    theta - r v, and write their quotients into one (K, d) result.
     """
     v = np.asarray(v, dtype=np.float64)
     d = state.theta.shape[0]
@@ -375,6 +385,11 @@ def hessian_vector_product(
         raise NumericError("a direction holds NaN or inf, or its norm is "
                            "non-finite: it overflows float64")
     r = np.array([[_HVP_DELTA / max(norm, 1.0)] for norm in norms])
-    thetas = np.concatenate([state.theta + r * rows, state.theta - r * rows])
-    g_plus, g_minus = np.split(_mean_gradient(state.arch, thetas, batch), 2)
-    return ((g_plus - g_minus) / (2.0 * r)).reshape(v.shape)
+    hv = np.empty(rows.shape)
+    for start in range(0, len(rows), _HVP_CHUNK):
+        chunk = slice(start, start + _HVP_CHUNK)
+        offsets = r[chunk] * rows[chunk]
+        thetas = np.concatenate([state.theta + offsets, state.theta - offsets])
+        g_plus, g_minus = np.split(_mean_gradient(state.arch, thetas, batch), 2)
+        np.divide(g_plus - g_minus, 2.0 * r[chunk], out=hv[chunk])
+    return hv.reshape(v.shape)

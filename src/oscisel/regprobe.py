@@ -32,27 +32,13 @@ from .models import (
 )
 from .rng import subseed
 
-# Deviations per HVP call in the trace. It fixes the summation order, so it
-# is a constant. A call stacks 2 thetas per deviation (theta ± r v). At
-# MLP-32 the class-major gradient's one large array is the hidden layer's
-# input with its ones row, (2·chunk, 33, N) float64, which the
-# backpropagated delta then overwrites: 1.1 MB at chunk 4 and N = 500, and
-# 4.2 MB at N = 2000. On a 2-vCPU Xeon (OpenBLAS 1 thread, medians of 3
-# fresh processes) one trace took 116, 93, 70, 85 and 86 ms at N = 500 and
-# chunk 1, 2, 4, 8 and 16, and 1.08, 1.36, 1.23, 1.31 and 1.21 s at
-# N = 2000. With a second such array allocated per call for the delta,
-# chunks 4 to 16 took about 190 ms at N = 500 against 80 ms at chunk 2: from
-# chunk 4 on, each call page-faulted its fresh arrays in anew, about 500
-# faults per call at chunk 4 against 2.
-_TRACE_CHUNK = 4
-
 # Trials per stacked forward in verify_one_step_expansion, set by memory.
 # Each trial adds a class-major (classes, N) block of scores to the stack. At
 # N = 600 and 10 classes (oscibench's blobs-verify) the trial loop's 4,000
 # trial losses took 350, 300, 261 and 235 ms at 2, 4, 8 and 16 trials a
-# chunk (medians of 4 fresh processes, same machine), but at 16 the peak
-# resident memory of a benchmark run rose 0.7 to 0.85 MB over 8 and its
-# wall_ref did not fall beyond the runs' spread.
+# chunk (2-vCPU Xeon, OpenBLAS 1 thread, medians of 4 fresh processes), but
+# at 16 the peak resident memory of a benchmark run rose 0.7 to 0.85 MB over
+# 8 and its wall_ref did not fall beyond the runs' spread.
 _TRIAL_CHUNK = 8
 
 
@@ -68,20 +54,17 @@ def gradient_covariance_trace_hc(state: ModelState, batch: Batch) -> float:
 
     Tr(HC) = 1/(N-1) * sum_i (g_i - gbar)^T H (g_i - gbar), with the
     deviations taken from per-sample gradients over the full dataset, and
-    H (g_i - gbar) the finite-difference HVP of the mean gradient, taken
-    _TRACE_CHUNK deviations per call.
+    H (g_i - gbar) the finite-difference HVP of the mean gradient, all N
+    in one call. The deviations are centred in place, so the trace holds
+    two (N, d) arrays: them and their HVPs.
     """
     n = batch.size
     if n < 2:
         raise EmptyDatasetError(f"covariance needs N >= 2, got {n}")
-    grads = per_sample_gradients(state, batch)
-    dev = grads - grads.mean(axis=0)
-    total = 0.0
-    for start in range(0, n, _TRACE_CHUNK):
-        block = dev[start : start + _TRACE_CHUNK]
-        hv = hessian_vector_product(state, batch, block)
-        total += float(np.einsum("kd,kd->", block, hv))
-    return total / (n - 1)
+    dev = per_sample_gradients(state, batch)
+    dev -= dev.mean(axis=0)
+    hv = hessian_vector_product(state, batch, dev)
+    return float(np.einsum("kd,kd->", dev, hv)) / (n - 1)
 
 
 def _eta_squared(eta: float) -> float:

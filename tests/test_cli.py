@@ -155,15 +155,22 @@ def test_report_corrupt_metrics_line(tmp_path, capsys):
         (lambda s: {**s, "realized_ratio": "0.3"}, "realized_ratio must be a number"),
         (lambda s: {**s, "wall_time_s": None}, "wall_time_s must be a number"),
         (lambda s: {**s, "name": 3}, "name must be a string"),
+        (lambda s: b"\xff" + json.dumps(s).encode(), "not UTF-8 text: 'utf-8' codec "
+         "can't decode byte 0xff in position 0: invalid start byte"),
     ],
-    ids=["missing-key", "not-object", "not-json", "ratio-str", "wall-null", "name-int"],
+    ids=["missing-key", "not-object", "not-json", "ratio-str", "wall-null", "name-int",
+         "not-utf8"],
 )
 def test_report_malformed_summary_names_the_file(tmp_path, capsys, edit, message):
     doc = base_config(tmp_path / "run")
     main(["run", "--config", str(write_config(tmp_path, doc))])
     summary_path = tmp_path / "run" / "summary.json"
     edited = edit(json.loads(summary_path.read_text()))
-    summary_path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    if isinstance(edited, bytes):
+        summary_path.write_bytes(edited)
+    else:
+        text = edited if isinstance(edited, str) else json.dumps(edited)
+        summary_path.write_text(text)
     capsys.readouterr()
     assert main(["report", "--in", str(tmp_path / "run")]) == 2
     assert f"{summary_path}: {message}" in capsys.readouterr().err
@@ -382,6 +389,31 @@ def test_probe_rejects_bad_ratios_before_training(tmp_path, monkeypatch, capsys,
     assert main(["probe", "--config", str(cfg), "--p", ratios]) == 1
     assert "(0, 1)" in capsys.readouterr().err
     assert not (tmp_path / "probe" / "regprobe.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "probe", "verify", "gen-data"])
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_an_output_path_that_cannot_be_a_directory_fails_before_any_work(
+        tmp_path, monkeypatch, capsys, command, under):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("run_training", "build_datasets", "datasets_from_spec"):
+        monkeypatch.setattr(oscisel.cli, name, no_work)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    if command == "gen-data":
+        argv = ["gen-data", "--kind", "blobs", "--out", str(out)]
+    else:
+        cfg = write_config(tmp_path, base_config(out))
+        flags = {"run": [], "probe": ["--p", "0.5"], "verify": ["--p", "0.5"]}
+        argv = [command, "--config", str(cfg), *flags[command]]
+    assert main(argv) == 1
+    reason = (f"cannot be made: {blocker} is not a directory" if under
+              else "exists and is not a directory")
+    assert capsys.readouterr().err == f"error: output directory {out} {reason}\n"
+    assert blocker.read_text() == ""
 
 
 @pytest.mark.parametrize(
@@ -730,12 +762,21 @@ def test_a_one_class_osds_header_is_a_usage_error(tmp_path, capsys):
     "text, message",
     [("[1, 2]", "config root must be an object"),
      ("{not json", "{path}: invalid JSON: Expecting property name enclosed in "
-                   "double quotes: line 1 column 2 (char 1)")],
-    ids=["not-object", "not-json"],
+                   "double quotes: line 1 column 2 (char 1)"),
+     (None, "{path}: Is a directory"),
+     (b'{"name": "\xff"}', "{path}: not UTF-8 text: 'utf-8' codec can't decode byte "
+                           "0xff in position 10: invalid start byte")],
+    ids=["not-object", "not-json", "directory", "not-utf8"],
 )
 def test_a_malformed_config_file_is_a_usage_error(tmp_path, capsys, text, message):
+    # text is the file's text, its bytes, or None for a directory
     path = tmp_path / "cfg.json"
-    path.write_text(text)
+    if text is None:
+        path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     assert main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 

@@ -16,6 +16,7 @@ from oscisel.models import (
     per_sample_gradients,
 )
 from oscisel.rng import PortableRNG
+from rounding import rounding_scales
 
 ARCHS = [
     Arch("quadratic", 6),
@@ -268,6 +269,14 @@ def test_stacked_hvp_errors():
         hessian_vector_product(state, batch, bad)
 
 
+@pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.kind)
+def test_hvp_of_no_directions_is_empty(arch):
+    state, batch = random_instance(arch, np.random.default_rng(22))
+    d = arch.param_count
+    hv = hessian_vector_product(state, batch, np.zeros((0, d)))
+    assert hv.shape == (0, d) and hv.dtype == np.float64
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_hvp_non_finite_direction_message(value):
     state = ModelState(Arch("quadratic", 3), np.zeros(3))
@@ -314,9 +323,11 @@ def test_stacked_losses_equal_one_call_per_theta(arch, k):
     assert np.array_equal(batch.inputs, inputs)  # the ReLU runs in place
     for theta, row in zip(thetas, stacked):
         single = _losses(arch, theta, batch)
-        # in ulps of the row's largest loss: a small loss is the difference
-        # of two larger numbers, so its own ulp is too fine a unit
-        assert np.abs(row - single).max() <= 8 * np.spacing(single.max())
+        # in ulps of the loss scale: a small loss is the difference of two
+        # larger numbers, so neither its own ulp nor the largest loss's is a
+        # sound unit
+        loss_scale = rounding_scales(arch, theta, batch)[1]
+        assert np.abs(row - single).max() <= 8 * np.spacing(loss_scale)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308])
@@ -354,5 +365,6 @@ def test_stacked_mean_gradient_equals_one_call_per_theta(arch, k):
     for theta, row in zip(thetas, stacked):
         single = _mean_gradient(arch, theta, batch)
         # an entry is a sum of m terms of either sign, so its rounding is
-        # counted in ulps of the largest entry
-        assert np.abs(row - single).max() <= 32 * np.spacing(np.abs(single).max())
+        # counted in ulps of the gradient scale, the sum of their magnitudes
+        grad_scale = rounding_scales(arch, theta, batch)[0]
+        assert np.abs(row - single).max() <= 32 * np.spacing(grad_scale)

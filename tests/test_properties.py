@@ -5,22 +5,26 @@ for grid points: prefix budget safety of the schedule under the subset floor,
 soundness of the budget ledger, the bounds of the subset size, the
 hard-mining order, the OSDS file round trip, a portable stream that does
 not depend on how its words are drawn, the one-step identity that the
-implicit regularizer rests on, and stacked model kernels that compute what
-one call per theta does.
+implicit regularizer rests on, stacked model kernels that compute what
+one call per theta does, and whole training runs that are bit-reproducible,
+budget-safe and write the loss memory only where they selected.
 """
 
 import itertools
+import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+import oscisel.trainer  # noqa: E402
 from oscisel.data import Batch, Dataset, load_osds, save_osds  # noqa: E402
 from oscisel.errors import (  # noqa: E402
     BudgetViolationError,
@@ -32,7 +36,6 @@ from oscisel.ledger import BudgetLedger  # noqa: E402
 from oscisel.models import (  # noqa: E402
     Arch,
     ModelState,
-    _forward,
     _losses,
     _mean_gradient,
     mean_loss,
@@ -46,7 +49,10 @@ from oscisel.selection import (  # noqa: E402
     select_hard_mining,
     select_random,
     subset_size,
+    update_losses,
 )
+from oscisel.trainer import RunConfig, run_training  # noqa: E402
+from rounding import rounding_scales  # noqa: E402
 
 ratios = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 
@@ -223,28 +229,6 @@ def test_verify_prediction_is_the_mean_over_every_subset(shape, eta, data):
     assert abs(report["prediction"] - exact) <= 1e-9 * scale
 
 
-def _rounding_scales(arch, theta, batch):
-    """(gradient, loss) magnitudes that the rounding of one theta's mean
-    gradient and losses is counted in.
-
-    Each is the largest value of the same sums with every input, weight and
-    residual replaced by its magnitude, and every softmax-minus-onehot entry
-    by 1: an entry of the picked class is p - 1, formed by cancellation when
-    p is near 1, so its rounding is of the order of one ulp of 1, not of the
-    entry. Neither scale is below the largest entry it bounds.
-    """
-    x, m = np.abs(batch.inputs), batch.size
-    if arch.kind == "quadratic":
-        terms = x @ np.abs(theta) + np.abs(batch.labels)  # bounds |x·theta - y|
-        return (x.T @ terms).max() / m, (terms**2).max()
-    scores, layers, inputs = _forward(arch, np.abs(theta), x)
-    delta, grad = np.ones_like(scores), 0.0
-    for (w, _), a in zip(reversed(layers), reversed(inputs)):
-        grad = max(grad, (a.T @ delta).max() / m, delta.max())  # weights, bias
-        delta = delta @ np.abs(w).T
-    return grad, max(1.0, scores.max())
-
-
 @given(
     kind=st.sampled_from(["logistic", "mlp", "quadratic"]),
     d_in=st.integers(min_value=1, max_value=4),
@@ -269,8 +253,64 @@ def test_stacked_kernels_equal_one_call_per_theta(kind, d_in, hidden, classes, m
     grads, losses = _mean_gradient(arch, thetas, batch), _losses(arch, thetas, batch)
     assert grads.shape == thetas.shape and losses.shape == (k, m)
     for theta, grad, loss in zip(thetas, grads, losses):
-        grad_scale, loss_scale = _rounding_scales(arch, theta, batch)
+        grad_scale, loss_scale = rounding_scales(arch, theta, batch)
         single = _mean_gradient(arch, theta, batch)
         assert np.abs(grad - single).max() <= 32 * np.spacing(grad_scale)
         single = _losses(arch, theta, batch)
         assert np.abs(loss - single).max() <= 8 * np.spacing(loss_scale)
+
+
+# each example trains twice, and probes Tr(HC) every epoch when probe_every
+# is 1; a few dozen keep the suite fast
+@settings(max_examples=30)
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    eps=st.floats(min_value=1e-6, max_value=0.5, exclude_max=True),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    schedule_mode=st.sampled_from(["oscillatory", "fixed"]),
+    policy=st.sampled_from(["hard_mining", "random"]),
+    epochs=st.integers(min_value=1, max_value=10),
+    batch_size=st.integers(min_value=1, max_value=8),
+    probe_every=st.sampled_from([0, 1]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_training_runs_are_reproducible_and_budget_safe(
+        n, eps, frac, schedule_mode, policy, epochs, batch_size, probe_every, seed):
+    # target anywhere strictly inside derive_params' (eps, 1 - eps)
+    target = eps + frac * (1.0 - 2.0 * eps)
+    assume(eps < target < 1.0 - eps)
+    cfg = RunConfig(
+        dataset={"kind": "two_moons", "n_train": n, "n_test": 4, "noise": 0.2},
+        model={"kind": "mlp", "hidden": 3}, epochs=epochs, batch_size=batch_size,
+        learning_rate=0.3, target_ratio=target, margin=eps, policy=policy,
+        schedule_mode=schedule_mode, seed=seed, probe_every=probe_every,
+    )
+    updates = []
+
+    def recorded(mem, indices, losses, epoch):
+        after = update_losses(mem, indices, losses, epoch)
+        updates.append((mem, indices, after))
+        return after
+
+    with mock.patch.object(oscisel.trainer, "update_losses", recorded):
+        first = run_training(cfg)
+    second = run_training(cfg)
+
+    def outputs(result):
+        memory = result.loss_memory
+        return (json.dumps([m.to_record() for m in result.metrics]),
+                result.final_state.theta.tobytes(), memory.values.tobytes(),
+                memory.last_updated.tobytes())
+
+    assert outputs(first) == outputs(second)
+    spent = 0
+    for t, (record, (before, chosen, after)) in enumerate(
+            zip(first.metrics, updates, strict=True), start=1):
+        assert record.n_selected == max(1, math.floor(record.p_t * n + 1e-9))
+        assert len(chosen) == record.n_selected
+        spent += record.n_selected
+        assert spent <= target * t * n + t
+        changed = ((before.values != after.values)
+                   | (before.last_updated != after.last_updated))
+        assert set(np.flatnonzero(changed)) <= set(chosen.tolist())
+        assert (after.last_updated[chosen] == t - 1).all()

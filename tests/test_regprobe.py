@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import oscisel.models
 import oscisel.regprobe
 
 from oscisel.data import gen_blobs, gen_gauss_linear, gen_two_moons
@@ -13,7 +14,8 @@ from oscisel.models import (
     Arch,
     Batch,
     ModelState,
-    _layers,
+    _blocks,
+    hessian_vector_product,
     mean_gradient,
     mean_loss,
     per_sample_gradients,
@@ -128,10 +130,37 @@ def test_trace_hc_equals_one_deviation_at_a_time(kind):
     assert trace == pytest.approx(fd_trace_loop(state, batch), rel=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["logistic", "mlp", "quadratic"])
+def test_trace_hc_makes_one_hvp_call(kind, monkeypatch):
+    state, batch = trace_instances()[kind]
+    calls = []
+
+    def counted(state, batch, v):
+        calls.append(v.shape)
+        return hessian_vector_product(state, batch, v)
+
+    monkeypatch.setattr(oscisel.regprobe, "hessian_vector_product", counted)
+    gradient_covariance_trace_hc(state, batch)
+    assert calls == [(batch.size, state.arch.param_count)]
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp", "quadratic"])
+def test_trace_hc_does_not_depend_on_the_hvp_chunk(kind, monkeypatch):
+    # each direction's quotient is its own, so the directions stacked per
+    # gradient call change no bit of the trace
+    state, batch = trace_instances()[kind]
+    traces = set()
+    for chunk in (1, 3, 4, 16):
+        monkeypatch.setattr(oscisel.models, "_HVP_CHUNK", chunk)
+        traces.add(gradient_covariance_trace_hc(state, batch))
+    assert len(traces) == 1
+
+
 def test_trace_hc_is_a_finite_difference_across_a_relu_kink():
     state, batch = trace_instances()["mlp"]
     theta = state.theta.copy()
-    (w1, b1), _ = _layers(state.arch, theta)  # views into theta
+    wb1, _ = _blocks(state.arch, theta)  # views into theta
+    w1, b1 = wb1[:-1], wb1[-1]
     # sample 0's pre-activation at hidden unit 3 is 1e-7, inside the 1e-5
     # step, so the ReLU's kink falls between theta - rv and theta + rv
     b1[3] -= batch.inputs[0] @ w1[:, 3] + b1[3] - 1e-7
