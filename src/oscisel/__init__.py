@@ -6,6 +6,7 @@ deterministic SGD trainer, and numerically verifies the subsampling-induced
 implicit-regularization term against brute-force oracles.
 """
 
+from .config import RunConfig
 from .data import (
     Batch,
     Dataset,
@@ -50,7 +51,6 @@ from .selection import (
 )
 from .trainer import (
     EpochMetrics,
-    RunConfig,
     TrainResult,
     evaluate,
     run_training,

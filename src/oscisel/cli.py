@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SCHEMA_VERSION, LoadedConfig, load_config
+from .config import SCHEMA_VERSION, SPEC_KEYS, LoadedConfig, is_number, load_config
 from .data import save_osds
 from .errors import ConfigError, FormatError, NumericError, ParameterDomainError
 from .regprobe import (
@@ -29,8 +29,6 @@ from .regprobe import (
 )
 from .schedule import RatioTrajectory, derive_params
 from .trainer import (
-    SPEC_KEYS,
-    _is_number,
     build_datasets,
     build_model,
     datasets_from_spec,
@@ -126,19 +124,23 @@ def _json_line(record: dict) -> str:
         ) from None
 
 
-def _check_out_dir(path: Path) -> None:
-    """Reject an output directory that cannot be made, before any work runs:
-    the path or its nearest existing parent is not a directory. Nothing is
-    created, so a failed command leaves no directory behind."""
+def _check_out_dir(path: Path, *files: str) -> None:
+    """Reject an output directory that cannot be made, or one of the files a
+    command writes into it that cannot be written, before any work runs: the
+    path or its nearest existing parent is not a directory, or a file is one.
+    Nothing is created, so a failed command leaves no output behind."""
     for existing in (path, *path.parents):
         if existing.exists():
             if existing.is_dir():
-                return
+                break
             if existing == path:
                 raise _UsageError(f"output directory {path} exists and is not "
                                   f"a directory")
             raise _UsageError(f"output directory {path} cannot be made: "
                               f"{existing} is not a directory")
+    for name in files:
+        if (path / name).is_dir():
+            raise _UsageError(f"output file {path / name} is a directory")
 
 
 def _cmd_derive(args) -> int:
@@ -180,7 +182,7 @@ def _write_run_outputs(loaded: LoadedConfig, result, wall_time: float) -> None:
 
 def _cmd_run(args) -> int:
     loaded = load_config(args.config)
-    _check_out_dir(loaded.out_dir)
+    _check_out_dir(loaded.out_dir, "metrics.jsonl", "summary.json", "final_theta.npy")
     start = time.monotonic()
     result = run_training(loaded.run)
     _write_run_outputs(loaded, result, time.monotonic() - start)
@@ -195,7 +197,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_probe(args) -> int:
     loaded = load_config(args.config)
-    _check_out_dir(loaded.out_dir)
+    _check_out_dir(loaded.out_dir, "regprobe.jsonl")
     ratios = _parse_ratio_list(args.p)
     bad = [p for p in ratios if not 0.0 < p < 1.0]
     if bad:
@@ -227,7 +229,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_verify(args) -> int:
     loaded = load_config(args.config)
-    _check_out_dir(loaded.out_dir)
+    _check_out_dir(loaded.out_dir, "regprobe.jsonl")
     ratios = _parse_ratio_list(args.p)
     if args.trials < 1:
         raise ParameterDomainError(f"--trials must be >= 1, got {args.trials}")
@@ -268,7 +270,7 @@ def _cmd_gen_data(args) -> int:
     spec.update({k: getattr(args, k, default)
                  for k, (_, default) in _GEN_DATA_FLAGS.items() if k in read})
     out = Path(args.out)
-    _check_out_dir(out)
+    _check_out_dir(out, "train.osds", "test.osds")
     train, test = datasets_from_spec(spec, args.seed)
     out.mkdir(parents=True, exist_ok=True)
     save_osds(train, out / "train.osds")
@@ -301,7 +303,7 @@ def _load_run_dir(run_dir: Path) -> dict:
     if "realized_ratio" not in summary:
         raise FormatError(f"{path}: missing key 'realized_ratio'")
     for key in ("realized_ratio", "wall_time_s"):
-        if not _is_number(summary.get(key, 0.0)):
+        if not is_number(summary.get(key, 0.0)):
             raise FormatError(f"{path}: {key} must be a number, got {summary[key]!r}")
     if not isinstance(summary.get("name", ""), str):
         raise FormatError(f"{path}: name must be a string, got {summary['name']!r}")

@@ -1,29 +1,163 @@
-"""Run configuration files (JSON, schema "v1").
+"""Run configurations: RunConfig, the keys a config holds, and their checks.
 
-Keys match RunConfig field names exactly, plus out_dir, an optional group
-name for report aggregation, and the schema version. Unknown keys are
-rejected so typos fail loudly. See docs/config.md.
+KEY_TYPES says what each scalar key holds, and check_keys checks a dict
+against it: missing keys, then unknown keys, then value types. A RunConfig
+checks its fields, and its dataset and model objects against SPEC_KEYS, when
+it is made, so it is valid by construction and the builders in trainer take
+it as it is. A config file (JSON, schema "v1") holds RunConfig's fields plus
+out_dir, an optional group name for report aggregation, and the schema
+version; unknown keys are rejected so typos fail loudly. See docs/config.md.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
-from .trainer import RunConfig, check_keys
+import numpy as np
+
+from .errors import ConfigError, ParameterDomainError
+from .selection import POLICIES
 
 SCHEMA_VERSION = "v1"
 
-# a config holds RunConfig's fields, optional where RunConfig has a default,
-# plus these keys of the file itself
-_FILE_KEYS = {"schema_version", "out_dir", "name"}
+
+def _is_int(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
+def is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
+# kind -> (required keys, optional keys) of the config's "dataset" and
+# "model" objects, besides "kind" itself
+SPEC_KEYS = {
+    "dataset": {
+        "two_moons": ({"n_train", "n_test", "noise"}, {"label_noise"}),
+        "blobs": (
+            {"classes", "per_class", "spread"},
+            {"d_in", "test_per_class", "label_noise"},
+        ),
+        "gauss_linear": ({"n_train", "d_in"}, {"noise", "n_test", "label_noise"}),
+        "idx": (
+            {"images", "labels", "test_images", "test_labels"},
+            {"limit", "test_limit", "label_noise"},
+        ),
+        "osds": ({"train", "test"}, {"label_noise"}),
+    },
+    "model": {
+        "logistic": (set(), set()),
+        "mlp": ({"hidden"}, set()),
+        "quadratic": (set(), set()),
+    },
+}
+
+# what each scalar key of a config and of its dataset and model objects
+# holds; the other keys (dataset, model, kind, policy, schedule_mode,
+# lr_schedule, schema_version) are checked by name. A path must be a string,
+# or an integer would be opened as a file descriptor
+KEY_TYPES = {
+    **dict.fromkeys(
+        ("epochs", "batch_size", "seed", "eval_every", "probe_every",
+         "n_train", "n_test", "classes", "per_class", "d_in", "test_per_class",
+         "hidden", "limit", "test_limit"),
+        ("an integer", _is_int),
+    ),
+    **dict.fromkeys(
+        ("learning_rate", "target_ratio", "margin", "momentum",
+         "noise", "spread", "label_noise"),
+        ("a number", is_number),
+    ),
+    **dict.fromkeys(
+        ("images", "labels", "test_images", "test_labels", "train", "test"),
+        ("a path string", lambda value: isinstance(value, (str, os.PathLike))),
+    ),
+    **dict.fromkeys(
+        ("out_dir", "name"), ("a string", lambda value: isinstance(value, str))
+    ),
+}
+
+
+def check_keys(doc: dict, required: set, optional: set, where: str = "") -> None:
+    """Reject missing required keys, then keys neither required nor optional,
+    so that typos fail loudly, then values of the wrong type for KEY_TYPES.
+    where names a dataset or model object in messages; "" is the config."""
+    missing, unknown = required - set(doc), set(doc) - required - optional
+    if missing:
+        raise ConfigError(f"{where or 'config'}: missing required keys: "
+                          f"{sorted(missing)}")
+    if unknown:
+        raise ConfigError(f"{where or 'config'}: unknown keys: {sorted(unknown)}")
+    prefix = f"{where}: " if where else ""
+    for key, value in doc.items():
+        if key in KEY_TYPES:
+            what, ok = KEY_TYPES[key]
+            if not ok(value):
+                raise ConfigError(f"{prefix}{key} must be {what}, got {value!r}")
+
+
+def _check_object(section: str, spec) -> None:
+    """Check a dataset or model object: its kind, then its keys and values."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{section} must be an object, got {spec!r}")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in SPEC_KEYS[section]:
+        raise ConfigError(f"unknown {section} kind {kind!r}")
+    required, optional = SPEC_KEYS[section][kind]
+    check_keys(spec, required | {"kind"}, optional, f"{section} {kind!r}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    dataset: dict
+    model: dict
+    epochs: int
+    batch_size: int
+    learning_rate: float
+    target_ratio: float
+    margin: float = 0.05
+    momentum: float = 0.0
+    policy: str = "hard_mining"
+    schedule_mode: str = "oscillatory"  # "oscillatory" | "fixed"
+    lr_schedule: str = "constant"  # "constant" | "cosine"
+    seed: int = 0
+    eval_every: int = 1
+    probe_every: int = 0  # 0 disables R probing / snapshots
+
+    def __post_init__(self):
+        check_keys(vars(self), _REQUIRED, _OPTIONAL)
+        if self.epochs < 1:
+            raise ParameterDomainError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ParameterDomainError("batch_size must be >= 1")
+        # NaN fails too, and so does an int too large for a float, which
+        # Python compares exactly
+        if not 0.0 < self.learning_rate <= sys.float_info.max:
+            raise ParameterDomainError("learning_rate must be finite and > 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ParameterDomainError("momentum must be in [0, 1)")
+        if self.eval_every < 1:
+            raise ParameterDomainError("eval_every must be >= 1")
+        if self.probe_every < 0:
+            raise ParameterDomainError("probe_every must be >= 0 (0 disables)")
+        if not isinstance(self.policy, str) or self.policy not in POLICIES:
+            raise ConfigError(f"unknown policy {self.policy!r}")
+        if self.schedule_mode not in ("oscillatory", "fixed"):
+            raise ConfigError(f"unknown schedule_mode {self.schedule_mode!r}")
+        if self.lr_schedule not in ("constant", "cosine"):
+            raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
+        _check_object("dataset", self.dataset)
+        _check_object("model", self.model)
+
+
+# a config file holds RunConfig's fields, optional where RunConfig has a
+# default, plus its own keys: schema_version, out_dir and name
 _REQUIRED = {f.name for f in fields(RunConfig) if f.default is MISSING}
-_REQUIRED |= {"schema_version", "out_dir"}
 _OPTIONAL = {f.name for f in fields(RunConfig) if f.default is not MISSING}
-_OPTIONAL |= {"name"}
 
 
 @dataclass(frozen=True)
@@ -40,16 +174,13 @@ def output_root() -> Path:
 def parse_config(doc: dict) -> LoadedConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
-    check_keys("config", doc, _REQUIRED, _OPTIONAL)
+    check_keys(doc, _REQUIRED | {"schema_version", "out_dir"}, _OPTIONAL | {"name"})
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {doc['schema_version']!r}, "
             f"want {SCHEMA_VERSION!r}"
         )
-    for key in ("out_dir", "name"):
-        if not isinstance(doc.get(key, ""), str):
-            raise ConfigError(f"{key} must be a string, got {doc[key]!r}")
-    run = RunConfig(**{k: v for k, v in doc.items() if k not in _FILE_KEYS})
+    run = RunConfig(**{k: doc[k] for k in doc.keys() & (_REQUIRED | _OPTIONAL)})
     out_dir = Path(doc["out_dir"])
     if not out_dir.is_absolute():
         out_dir = output_root() / out_dir

@@ -83,21 +83,15 @@ def gen_blobs(
     if d_in < 2:
         raise ParameterDomainError(f"blobs need d_in >= 2, got {d_in}")
     _check_scale("spread", spread)
-    rng = PortableRNG(seed)
-    n = classes * per_class
-    inputs = np.zeros((n, d_in))
-    labels = np.zeros(n, dtype=np.int64)
+    means = np.zeros((classes, d_in))
     for j in range(classes):
         angle = 2.0 * math.pi * j / classes
-        mean = np.zeros(d_in)
-        mean[0] = math.cos(angle)
-        mean[1] = math.sin(angle)
-        rows = slice(j * per_class, (j + 1) * per_class)
-        inputs[rows] = mean + spread * rng.normals(per_class * d_in).reshape(
-            per_class, d_in
-        )
-        labels[rows] = j
-    return Dataset(inputs, labels, split, classes)
+        means[j, :2] = math.cos(angle), math.sin(angle)
+    labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
+    # every row's d_in normals in one draw, rows in class order: the order
+    # that docs/config.md pins
+    noise = PortableRNG(seed).normals(labels.size * d_in).reshape(-1, d_in)
+    return Dataset(means[labels] + spread * noise, labels, split, classes)
 
 
 def gen_two_moons(n: int, noise: float, seed: int, split: str = "train") -> Dataset:

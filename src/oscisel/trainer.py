@@ -1,7 +1,8 @@
 """Epoch-level training loop with budgeted data selection.
 
-Before the first step, build_model checks the training split against the
-model it builds, and run_training checks the test split.
+A RunConfig is checked when it is made, so build_datasets and build_model
+take it as it is. Before the first step, build_model checks the training
+split against the model it builds, and run_training checks the test split.
 Each epoch: get the scheduled ratio, pick a subset (random cold start at
 epoch 0 for hard mining), shuffle it, run mini-batch SGD, and record the
 pre-update forward losses into the loss memory, once per epoch; no pass
@@ -13,10 +14,9 @@ sub-streams of the single run seed, so a fixed config is bit-reproducible.
 from __future__ import annotations
 
 import math
-import os
-import sys
 from dataclasses import asdict, dataclass, field
 
+from .config import RunConfig
 from .data import (
     Batch,
     Dataset,
@@ -27,7 +27,6 @@ from .data import (
     load_idx,
     load_osds,
 )
-from .errors import ConfigError, ParameterDomainError
 from .ledger import BudgetLedger
 from .models import (
     Arch,
@@ -45,62 +44,6 @@ from .selection import POLICIES, LossMemory, update_losses
 from .rng import PortableRNG, subseed
 
 import numpy as np
-
-
-def _is_int(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
-
-
-def _is_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    dataset: dict
-    model: dict
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    target_ratio: float
-    margin: float = 0.05
-    momentum: float = 0.0
-    policy: str = "hard_mining"
-    schedule_mode: str = "oscillatory"  # "oscillatory" | "fixed"
-    lr_schedule: str = "constant"  # "constant" | "cosine"
-    seed: int = 0
-    eval_every: int = 1
-    probe_every: int = 0  # 0 disables R probing / snapshots
-
-    def __post_init__(self):
-        for name in ("epochs", "batch_size", "eval_every", "probe_every", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("learning_rate", "target_ratio", "margin", "momentum"):
-            value = getattr(self, name)
-            if not _is_number(value):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-        if self.epochs < 1:
-            raise ParameterDomainError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ParameterDomainError("batch_size must be >= 1")
-        # NaN fails too, and so does an int too large for a float, which
-        # Python compares exactly
-        if not 0.0 < self.learning_rate <= sys.float_info.max:
-            raise ParameterDomainError("learning_rate must be finite and > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ParameterDomainError("momentum must be in [0, 1)")
-        if self.eval_every < 1:
-            raise ParameterDomainError("eval_every must be >= 1")
-        if self.probe_every < 0:
-            raise ParameterDomainError("probe_every must be >= 0 (0 disables)")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"unknown policy {self.policy!r}")
-        if self.schedule_mode not in ("oscillatory", "fixed"):
-            raise ConfigError(f"unknown schedule_mode {self.schedule_mode!r}")
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
 
 
 @dataclass
@@ -129,77 +72,9 @@ class TrainResult:
     snapshots: list = field(default_factory=list)
 
 
-# kind -> (required keys, optional keys) of the config's "dataset" and
-# "model" objects, besides "kind" itself
-SPEC_KEYS = {
-    "dataset": {
-        "two_moons": ({"n_train", "n_test", "noise"}, {"label_noise"}),
-        "blobs": (
-            {"classes", "per_class", "spread"},
-            {"d_in", "test_per_class", "label_noise"},
-        ),
-        "gauss_linear": ({"n_train", "d_in"}, {"noise", "n_test", "label_noise"}),
-        "idx": (
-            {"images", "labels", "test_images", "test_labels"},
-            {"limit", "test_limit", "label_noise"},
-        ),
-        "osds": ({"train", "test"}, {"label_noise"}),
-    },
-    "model": {
-        "logistic": (set(), set()),
-        "mlp": ({"hidden"}, set()),
-        "quadratic": (set(), set()),
-    },
-}
-
-# what each key of SPEC_KEYS holds; a path must be a string, or an integer
-# would be opened as a file descriptor
-_SPEC_TYPES = {
-    **dict.fromkeys(
-        ("n_train", "n_test", "classes", "per_class", "d_in", "test_per_class",
-         "hidden", "limit", "test_limit"),
-        ("an integer", _is_int),
-    ),
-    **dict.fromkeys(("noise", "spread", "label_noise"), ("a number", _is_number)),
-    **dict.fromkeys(
-        ("images", "labels", "test_images", "test_labels", "train", "test"),
-        ("a path string", lambda value: isinstance(value, (str, os.PathLike))),
-    ),
-}
-
-
-def check_keys(where: str, doc: dict, required: set, optional: set) -> None:
-    """Reject missing required keys, and keys neither required nor optional,
-    so that typos fail loudly."""
-    missing, unknown = required - set(doc), set(doc) - required - optional
-    if missing:
-        raise ConfigError(f"{where}: missing required keys: {sorted(missing)}")
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys: {sorted(unknown)}")
-
-
-def _check_spec(section: str, spec) -> str:
-    """The spec's kind, after checking its keys against SPEC_KEYS and their
-    values against _SPEC_TYPES."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{section} must be an object, got {spec!r}")
-    kind = spec.get("kind")
-    if kind not in SPEC_KEYS[section]:
-        raise ConfigError(f"unknown {section} kind {kind!r}")
-    required, optional = SPEC_KEYS[section][kind]
-    check_keys(f"{section} {kind!r}", spec, required | {"kind"}, optional)
-    for key, value in spec.items():
-        if key == "kind":
-            continue
-        what, ok = _SPEC_TYPES[key]
-        if not ok(value):
-            raise ConfigError(f"{section} {kind!r}: {key} must be {what}, got {value!r}")
-    return kind
-
-
 def datasets_from_spec(spec: dict, seed: int) -> tuple[Dataset, Dataset]:
-    """Train and test splits of a config's "dataset" object."""
-    kind = _check_spec("dataset", spec)
+    """Train and test splits of a RunConfig's checked "dataset" object."""
+    kind = spec["kind"]
     seed_train = subseed(seed, "data.train")
     seed_test = subseed(seed, "data.test")
     if kind == "two_moons":
@@ -242,8 +117,8 @@ def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
 
 def build_model(cfg: RunConfig, train: Dataset) -> ModelState:
     """The config's model, initialized, after checking train against it."""
-    kind = _check_spec("model", cfg.model)
-    arch = Arch(kind, train.d_in, cfg.model.get("hidden", 0), train.n_classes)
+    model = cfg.model
+    arch = Arch(model["kind"], train.d_in, model.get("hidden", 0), train.n_classes)
     state = init_state(arch, PortableRNG(subseed(cfg.seed, "model_init")))
     check_batch(state, train)
     return state

@@ -391,28 +391,47 @@ def test_probe_rejects_bad_ratios_before_training(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "probe" / "regprobe.jsonl").exists()
 
 
+# every file each command writes into its output directory
+OUTPUT_FILES = {"run": ["metrics.jsonl", "summary.json", "final_theta.npy"],
+                "probe": ["regprobe.jsonl"], "verify": ["regprobe.jsonl"],
+                "gen-data": ["train.osds", "test.osds"]}
+
+
 @pytest.mark.parametrize("command", ["run", "probe", "verify", "gen-data"])
-@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("blocked", ["a-file", "under-a-file", "file-is-a-directory"])
 def test_an_output_path_that_cannot_be_a_directory_fails_before_any_work(
-        tmp_path, monkeypatch, capsys, command, under):
+        tmp_path, monkeypatch, capsys, command, blocked):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
     for name in ("run_training", "build_datasets", "datasets_from_spec"):
         monkeypatch.setattr(oscisel.cli, name, no_work)
+
+    def fails_creating_nothing(out, message):
+        if command == "gen-data":
+            argv = ["gen-data", "--kind", "blobs", "--out", str(out)]
+        else:
+            cfg = write_config(tmp_path, base_config(out))
+            flags = {"run": [], "probe": ["--p", "0.5"], "verify": ["--p", "0.5"]}
+            argv = [command, "--config", str(cfg), *flags[command]]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    if blocked == "file-is-a-directory":
+        # each file in turn, with the files written before it free
+        for name in OUTPUT_FILES[command]:
+            out = tmp_path / f"out-{name}"
+            (out / name).mkdir(parents=True)
+            fails_creating_nothing(out, f"output file {out / name} is a directory")
+        return
     blocker = tmp_path / "file"
     blocker.write_text("")
-    out = blocker / "out" if under else blocker
-    if command == "gen-data":
-        argv = ["gen-data", "--kind", "blobs", "--out", str(out)]
-    else:
-        cfg = write_config(tmp_path, base_config(out))
-        flags = {"run": [], "probe": ["--p", "0.5"], "verify": ["--p", "0.5"]}
-        argv = [command, "--config", str(cfg), *flags[command]]
-    assert main(argv) == 1
-    reason = (f"cannot be made: {blocker} is not a directory" if under
-              else "exists and is not a directory")
-    assert capsys.readouterr().err == f"error: output directory {out} {reason}\n"
+    out = blocker / "out" if blocked == "under-a-file" else blocker
+    reason = (f"cannot be made: {blocker} is not a directory"
+              if blocked == "under-a-file" else "exists and is not a directory")
+    fails_creating_nothing(out, f"output directory {out} {reason}")
     assert blocker.read_text() == ""
 
 
@@ -469,6 +488,32 @@ def test_config_file_keys_must_be_strings(tmp_path, capsys, key):
     assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 1
     assert capsys.readouterr().err == f"error: {key} must be a string, got 5\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("epochs", 1.5, "epochs must be an integer, got 1.5"),
+     ("seed", "0", "seed must be an integer, got '0'"),
+     ("momentum", "0.5", "momentum must be a number, got '0.5'"),
+     ("eval_every", True, "eval_every must be an integer, got True")],
+    ids=["epochs=float", "seed=str", "momentum=str", "eval_every=bool"],
+)
+def test_bad_root_value_types_name_themselves(tmp_path, capsys, key, value,
+                                              message):
+    doc = base_config(tmp_path / "run", **{key: value})
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_bad_object_fails_before_the_output_path_and_ratio_checks(tmp_path,
+                                                                   capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    doc = base_config(blocker, dataset={"kind": "blobz"})
+    cfg = write_config(tmp_path, doc)
+    assert main(["probe", "--config", str(cfg), "--p", "1.5"]) == 1
+    assert capsys.readouterr().err == "error: unknown dataset kind 'blobz'\n"
 
 
 def test_config_invalid_is_usage_exit(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import re
 import struct
 
@@ -16,6 +17,7 @@ from oscisel.data import (
     IDX_MAGIC_LABELS,
 )
 from oscisel.errors import FormatError, ParameterDomainError
+from oscisel.rng import PortableRNG
 from oscisel.trainer import datasets_from_spec
 
 
@@ -60,6 +62,27 @@ def test_blobs_counts_and_means():
     mean1 = ds.inputs[ds.labels == 1].mean(axis=0)
     assert mean0 == pytest.approx([1.0, 0.0], abs=0.01)
     assert mean1 == pytest.approx([-1.0, 0.0], abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "classes, per_class, d_in",
+    [(7, 1, 3), (3, 5, 3), (2, 11, 9), (3, 101, 7), (2, 60, 16)],
+)
+def test_blobs_equal_one_normals_draw_per_class(classes, per_class, d_in):
+    # the reference draws each class's noise in its own normals() call; an
+    # odd per_class * d_in leaves a spare sine that the next class takes first
+    rng = PortableRNG(17)
+    rows = []
+    for j in range(classes):
+        angle = 2.0 * math.pi * j / classes
+        mean = np.zeros(d_in)
+        mean[0], mean[1] = math.cos(angle), math.sin(angle)
+        noise = rng.normals(per_class * d_in).reshape(per_class, d_in)
+        rows.append(mean + 0.3 * noise)
+    ds = gen_blobs(classes, per_class, d_in, 0.3, seed=17)
+    assert ds.inputs.tobytes() == np.concatenate(rows).tobytes()
+    assert ds.labels.tolist() == [j for j in range(classes)
+                                  for _ in range(per_class)]
 
 
 def test_blobs_domain_errors():

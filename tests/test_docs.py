@@ -9,7 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from oscisel.cli import _COMMANDS
-from oscisel.trainer import SPEC_KEYS, RunConfig
+from oscisel.config import SPEC_KEYS, RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -1,0 +1,55 @@
+"""The modules of src/oscisel import one another without a cycle, and
+config, which defines a run, imports neither the trainer nor the CLI.
+
+The imports are read from the source with ast; nothing is imported.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oscisel"
+
+
+def _imports() -> dict[str, set[str]]:
+    """Each module of the package -> the package modules it imports."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    graph = {}
+    for module in modules:
+        found = set()
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                target = node.module or ""
+                if node.level == 1:
+                    target = f"oscisel.{target}".rstrip(".")
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                target, names = "", [alias.name for alias in node.names]
+            else:
+                continue
+            if target == "oscisel":  # from oscisel import x, or from . import x
+                found |= set(names)
+            elif target.startswith("oscisel."):
+                found.add(target.split(".")[1])
+            found |= {n.split(".")[1] for n in names if n.startswith("oscisel.")}
+        graph[module] = found & modules
+    return graph
+
+
+def _reachable(graph: dict[str, set[str]], start: str) -> set[str]:
+    seen, stack = set(), [start]
+    while stack:
+        for dep in graph[stack.pop()] - seen:
+            seen.add(dep)
+            stack.append(dep)
+    return seen
+
+
+def test_the_package_import_graph_has_no_cycle():
+    graph = _imports()
+    assert any(graph.values()), "no import read"
+    cyclic = sorted(m for m in graph if m in _reachable(graph, m))
+    assert cyclic == [], f"modules on an import cycle: {cyclic}"
+
+
+def test_config_imports_neither_trainer_nor_cli():
+    assert _reachable(_imports(), "config") & {"trainer", "cli"} == set()
