@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SCHEMA_VERSION, SPEC_KEYS, LoadedConfig, is_number, load_config
-from .data import save_osds
+from .data import DATASETS, datasets_from_spec, save_osds
 from .errors import ConfigError, FormatError, NumericError, ParameterDomainError
 from .regprobe import (
     estimate_r,
@@ -31,7 +31,6 @@ from .schedule import RatioTrajectory, derive_params
 from .trainer import (
     build_datasets,
     build_model,
-    datasets_from_spec,
     epoch_lr,
     run_training,
 )
@@ -87,7 +86,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen-data", help="write a generated dataset to disk")
     p.add_argument("--kind", required=True,
-                   choices=["two_moons", "blobs", "gauss_linear"])
+                   choices=[kind for kind, (required, _, _) in DATASETS.items()
+                            if required <= _GEN_DATA_FLAGS.keys()])
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     for key, (cast, default) in _GEN_DATA_FLAGS.items():

@@ -2,16 +2,19 @@
 
 KEY_TYPES says what each scalar key holds, and check_keys checks a dict
 against it: missing keys, then unknown keys, then value types. A RunConfig
-checks its fields, and its dataset and model objects against SPEC_KEYS, when
-it is made, so it is valid by construction and the builders in trainer take
-it as it is. A config file (JSON, schema "v1") holds RunConfig's fields plus
-out_dir, an optional group name for report aggregation, and the schema
-version; unknown keys are rejected so typos fail loudly. See docs/config.md.
+checks its fields, its ratio schedule, and its dataset and model objects
+against SPEC_KEYS, when it is made, so it is valid by construction and the
+builders in trainer take it as it is. SPEC_KEYS is built from data.DATASETS
+and models.MODELS, which state each kind once. A config file (JSON, schema
+"v1") holds RunConfig's fields plus out_dir, an optional group name for
+report aggregation, and the schema version; unknown keys are rejected so
+typos fail loudly. See docs/config.md.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -19,41 +22,32 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import DATASETS
 from .errors import ConfigError, ParameterDomainError
+from .models import MODELS
+from .schedule import ScheduleParams, constant_params, derive_params
 from .selection import POLICIES
 
 SCHEMA_VERSION = "v1"
 
 
-def _is_int(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
-
-
 def is_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float))
+    """An int or a float, NumPy integer and floating scalars included; never
+    a bool, which is an int to Python, nor a NumPy bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
 
 
-# kind -> (required keys, optional keys) of the config's "dataset" and
-# "model" objects, besides "kind" itself
+def _is_int(value) -> bool:
+    return is_number(value) and isinstance(value, (int, np.integer))
+
+
+# kind -> (required keys, optional keys) besides "kind": of a "dataset" object
+# from data.DATASETS, plus "label_noise", and of a "model" from models.MODELS
 SPEC_KEYS = {
-    "dataset": {
-        "two_moons": ({"n_train", "n_test", "noise"}, {"label_noise"}),
-        "blobs": (
-            {"classes", "per_class", "spread"},
-            {"d_in", "test_per_class", "label_noise"},
-        ),
-        "gauss_linear": ({"n_train", "d_in"}, {"noise", "n_test", "label_noise"}),
-        "idx": (
-            {"images", "labels", "test_images", "test_labels"},
-            {"limit", "test_limit", "label_noise"},
-        ),
-        "osds": ({"train", "test"}, {"label_noise"}),
-    },
-    "model": {
-        "logistic": (set(), set()),
-        "mlp": ({"hidden"}, set()),
-        "quadratic": (set(), set()),
-    },
+    "dataset": {kind: (required, optional | {"label_noise"})
+                for kind, (required, optional, _) in DATASETS.items()},
+    "model": {kind: (required, set()) for kind, required in MODELS.items()},
 }
 
 # what each scalar key of a config and of its dataset and model objects
@@ -134,9 +128,13 @@ class RunConfig:
             raise ParameterDomainError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ParameterDomainError("batch_size must be >= 1")
-        # NaN fails too, and so does an int too large for a float, which
-        # Python compares exactly
-        if not 0.0 < self.learning_rate <= sys.float_info.max:
+        # NaN and inf fail, and so does a value beyond float64's range: an
+        # int, which Python compares exactly, or a NumPy longdouble. A finite
+        # float32 overflows the bound to inf, which it still lies below
+        with np.errstate(over="ignore"):
+            lr = self.learning_rate
+            finite = 0.0 < lr < math.inf and lr <= sys.float_info.max
+        if not finite:
             raise ParameterDomainError("learning_rate must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterDomainError("momentum must be in [0, 1)")
@@ -146,12 +144,20 @@ class RunConfig:
             raise ParameterDomainError("probe_every must be >= 0 (0 disables)")
         if not isinstance(self.policy, str) or self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}")
-        if self.schedule_mode not in ("oscillatory", "fixed"):
-            raise ConfigError(f"unknown schedule_mode {self.schedule_mode!r}")
+        self.schedule_params()  # fails on a bad mode, target_ratio or margin
         if self.lr_schedule not in ("constant", "cosine"):
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
         _check_object("dataset", self.dataset)
         _check_object("model", self.model)
+
+    def schedule_params(self) -> ScheduleParams:
+        """The ratio schedule of schedule_mode: a ParameterDomainError when
+        target_ratio, or the oscillatory margin, is out of its domain."""
+        if self.schedule_mode == "fixed":
+            return constant_params(self.target_ratio)
+        if self.schedule_mode == "oscillatory":
+            return derive_params(self.target_ratio, self.margin)
+        raise ConfigError(f"unknown schedule_mode {self.schedule_mode!r}")
 
 
 # a config file holds RunConfig's fields, optional where RunConfig has a

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FormatError, ParameterDomainError
-from .rng import PortableRNG
+from .rng import PortableRNG, subseed
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -144,13 +144,14 @@ def gen_gauss_linear(
 
 
 def inject_label_noise(ds: Dataset, rate: float, seed: int) -> Dataset:
-    """Flip exactly floor(rate*N) labels to a different uniformly-drawn class."""
+    """Flip exactly floor(rate*N) labels to a different uniformly-drawn class;
+    rate 0 returns ds as it is, regression data included."""
     if not 0.0 <= rate < 1.0:
         raise ParameterDomainError(f"noise rate must be in [0, 1), got {rate}")
-    if not ds.is_classification:
-        raise ParameterDomainError("label noise applies to classification only")
     if rate == 0.0:
         return ds
+    if not ds.is_classification:
+        raise ParameterDomainError("label noise applies to classification only")
     rng = PortableRNG(seed)
     n_flip = math.floor(rate * ds.n + 1e-9)
     flip = rng.sample_without_replacement(ds.n, n_flip)
@@ -258,3 +259,54 @@ def load_osds(path, split: str = "train") -> Dataset:
             )
         labels = raw_labels.astype(np.int64) if task == 0 else raw_labels.copy()
     return Dataset(inputs, labels, split, classes)
+
+
+def _two_moons(spec: dict, split: str, seed: int) -> Dataset:
+    return gen_two_moons(spec[f"n_{split}"], spec["noise"], seed, split)
+
+
+def _blobs(spec: dict, split: str, seed: int) -> Dataset:
+    per_class = spec["per_class"]
+    if split == "test":
+        per_class = spec.get("test_per_class", per_class)
+    d_in = spec.get("d_in", 2)
+    return gen_blobs(spec["classes"], per_class, d_in, spec["spread"], seed, split)
+
+
+def _gauss_linear(spec: dict, split: str, seed: int) -> Dataset:
+    n = spec.get(f"n_{split}", spec["n_train"])
+    return gen_gauss_linear(n, spec["d_in"], spec.get("noise", 0.0), seed, split)
+
+
+def _idx(spec: dict, split: str, seed: int) -> Dataset:
+    prefix = "test_" if split == "test" else ""
+    limit = spec.get(f"{prefix}limit")
+    return load_idx(spec[f"{prefix}images"], spec[f"{prefix}labels"], limit, split)
+
+
+def _osds(spec: dict, split: str, seed: int) -> Dataset:
+    return load_osds(spec[split], split)
+
+
+# kind -> (required keys, optional keys, build one split(spec, split, seed))
+# of a checked "dataset" object, keys besides "kind"; a builder gives a key
+# left out the default that docs/config.md states. Every kind also takes
+# "label_noise", which datasets_from_spec applies to the train split.
+DATASETS = {
+    "two_moons": ({"n_train", "n_test", "noise"}, set(), _two_moons),
+    "blobs": ({"classes", "per_class", "spread"}, {"d_in", "test_per_class"}, _blobs),
+    "gauss_linear": ({"n_train", "d_in"}, {"noise", "n_test"}, _gauss_linear),
+    "idx": ({"images", "labels", "test_images", "test_labels"},
+            {"limit", "test_limit"}, _idx),
+    "osds": ({"train", "test"}, set(), _osds),
+}
+
+
+def datasets_from_spec(spec: dict, seed: int) -> tuple[Dataset, Dataset]:
+    """Train and test splits of a checked "dataset" object: one DATASETS
+    builder call per split, then label_noise (default 0.0) on train."""
+    build = DATASETS[spec["kind"]][2]
+    train, test = (build(spec, split, subseed(seed, f"data.{split}"))
+                   for split in ("train", "test"))
+    noise = spec.get("label_noise", 0.0)
+    return inject_label_noise(train, noise, subseed(seed, "data.noise")), test

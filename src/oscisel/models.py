@@ -50,22 +50,32 @@ _HVP_DELTA = 1e-5
 _HVP_CHUNK = 4
 
 
+# kind -> the keys a config's "model" object of that kind requires, besides
+# "kind"; no model takes an optional key. The one statement of model kinds.
+MODELS = {"logistic": set(), "mlp": {"hidden"}, "quadratic": set()}
+
+
 @dataclass(frozen=True)
 class Arch:
-    kind: str  # "logistic" | "mlp" | "quadratic"
+    kind: str  # a MODELS kind
     d_in: int
     hidden: int = 0
     classes: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("logistic", "mlp", "quadratic"):
+        if not isinstance(self.kind, str) or self.kind not in MODELS:
             raise ParameterDomainError(f"unknown model kind {self.kind!r}")
         if self.d_in < 1:
             raise ParameterDomainError("d_in must be >= 1")
-        if self.kind in ("logistic", "mlp") and self.classes < 2:
+        if self.classifies and self.classes < 2:
             raise ParameterDomainError("classifiers need classes >= 2")
         if self.kind == "mlp" and self.hidden < 1:
             raise ParameterDomainError("mlp needs hidden >= 1")
+
+    @property
+    def classifies(self) -> bool:
+        """Whether the model predicts classes: every kind but quadratic."""
+        return self.kind != "quadratic"
 
     @cached_property
     def widths(self) -> tuple[int, ...]:
@@ -130,7 +140,7 @@ def check_batch(state: ModelState, batch: Batch) -> None:
         raise StructuralError(f"{where}labels/inputs row count mismatch")
     if not np.isfinite(batch.inputs).all():
         raise NumericError(f"{where}inputs contain non-finite values")
-    if state.arch.kind == "quadratic":
+    if not state.arch.classifies:
         if not np.isfinite(batch.labels).all():
             raise NumericError(f"{where}targets contain non-finite values")
     elif batch.labels.min() < 0 or batch.labels.max() >= state.arch.classes:
@@ -323,7 +333,7 @@ def mean_loss(state: ModelState, batch: Batch) -> float:
 def predict(state: ModelState, batch: Batch) -> np.ndarray:
     """Top-1 class of each row; classifiers only."""
     check_batch(state, batch)
-    if state.arch.kind == "quadratic":
+    if not state.arch.classifies:
         raise ParameterDomainError("a regression model predicts no classes")
     return _forward(state.arch, state.theta, batch.inputs)[0].argmax(axis=1)
 

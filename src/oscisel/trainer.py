@@ -17,16 +17,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .config import RunConfig
-from .data import (
-    Batch,
-    Dataset,
-    gen_blobs,
-    gen_gauss_linear,
-    gen_two_moons,
-    inject_label_noise,
-    load_idx,
-    load_osds,
-)
+from .data import Batch, Dataset, datasets_from_spec
 from .ledger import BudgetLedger
 from .models import (
     Arch,
@@ -39,7 +30,7 @@ from .models import (
 )
 from . import regprobe
 from .regprobe import estimate_r
-from .schedule import RatioTrajectory, constant_params, derive_params
+from .schedule import RatioTrajectory
 from .selection import POLICIES, LossMemory, update_losses
 from .rng import PortableRNG, subseed
 
@@ -72,45 +63,6 @@ class TrainResult:
     snapshots: list = field(default_factory=list)
 
 
-def datasets_from_spec(spec: dict, seed: int) -> tuple[Dataset, Dataset]:
-    """Train and test splits of a RunConfig's checked "dataset" object."""
-    kind = spec["kind"]
-    seed_train = subseed(seed, "data.train")
-    seed_test = subseed(seed, "data.test")
-    if kind == "two_moons":
-        train = gen_two_moons(spec["n_train"], spec["noise"], seed_train, "train")
-        test = gen_two_moons(spec["n_test"], spec["noise"], seed_test, "test")
-    elif kind == "blobs":
-        train = gen_blobs(
-            spec["classes"], spec["per_class"], spec.get("d_in", 2),
-            spec["spread"], seed_train, "train",
-        )
-        test = gen_blobs(
-            spec["classes"], spec.get("test_per_class", spec["per_class"]),
-            spec.get("d_in", 2), spec["spread"], seed_test, "test",
-        )
-    elif kind == "gauss_linear":
-        train = gen_gauss_linear(
-            spec["n_train"], spec["d_in"], spec.get("noise", 0.0), seed_train, "train"
-        )
-        test = gen_gauss_linear(
-            spec.get("n_test", spec["n_train"]), spec["d_in"],
-            spec.get("noise", 0.0), seed_test, "test",
-        )
-    elif kind == "idx":
-        train = load_idx(spec["images"], spec["labels"], spec.get("limit"), "train")
-        test = load_idx(
-            spec["test_images"], spec["test_labels"], spec.get("test_limit"), "test"
-        )
-    else:
-        train = load_osds(spec["train"], "train")
-        test = load_osds(spec["test"], "test")
-    label_noise = spec.get("label_noise", 0.0)
-    if label_noise:
-        train = inject_label_noise(train, label_noise, subseed(seed, "data.noise"))
-    return train, test
-
-
 def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     return datasets_from_spec(cfg.dataset, cfg.seed)
 
@@ -125,17 +77,14 @@ def build_model(cfg: RunConfig, train: Dataset) -> ModelState:
 
 
 def make_trajectory(cfg: RunConfig) -> RatioTrajectory:
-    if cfg.schedule_mode == "fixed":
-        params = constant_params(cfg.target_ratio)
-    else:
-        params = derive_params(cfg.target_ratio, cfg.margin)
-    return RatioTrajectory(params=params, total_epochs=cfg.epochs)
+    return RatioTrajectory(params=cfg.schedule_params(), total_epochs=cfg.epochs)
 
 
 def evaluate(state: ModelState, test: Dataset) -> tuple[float, float | None]:
-    """Mean loss and top-1 accuracy (None for regression)."""
+    """Mean loss and top-1 accuracy (None for a regression model, which
+    predicts no classes, even on class data)."""
     loss = float(loss_per_sample(state, test).mean())
-    if not test.is_classification:
+    if not state.arch.classifies:
         return loss, None
     return loss, float((predict(state, test) == test.labels).mean())
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import struct
@@ -851,3 +852,44 @@ def test_report_with_no_completed_runs_is_a_usage_error(tmp_path, capsys):
     assert main(["report", "--in", str(tmp_path / "empty")]) == 1
     assert (capsys.readouterr().err
             == f"error: no completed runs under [{str(tmp_path / 'empty')!r}]\n")
+
+
+@pytest.mark.parametrize("command", [["run"], ["probe", "--p", "0.5"],
+                                     ["verify", "--p", "0.5"]])
+@pytest.mark.parametrize(
+    "overrides, message",
+    [({"target_ratio": 1.5},
+      "target ratio must satisfy eps < p < 1 - eps, got p=1.5, eps=0.05"),
+     ({"margin": 0.7}, "margin must satisfy 0 < eps < 0.5, got 0.7"),
+     ({"target_ratio": 0, "schedule_mode": "fixed"},
+      "fixed ratio must be in (0, 1], got 0")],
+    ids=["target=1.5", "margin=0.7", "fixed-target=0"],
+)
+def test_a_bad_schedule_fails_when_the_config_is_read(tmp_path, capsys, monkeypatch,
+                                                      command, overrides, message):
+    def no_data(*args, **kwargs):
+        raise AssertionError("datasets built")
+
+    for module in (oscisel.cli, oscisel.trainer):
+        monkeypatch.setattr(module, "build_datasets", no_data)
+    cfg = write_config(tmp_path, base_config(tmp_path / "out", **overrides))
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_quadratic_model_on_class_data_records_no_accuracy(tmp_path):
+    doc = base_config(tmp_path / "run", model={"kind": "quadratic"}, epochs=2)
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 0
+    records = [json.loads(line) for line in
+               (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()]
+    assert [r["test_accuracy"] for r in records] == [None, None]
+    assert all(r["test_loss"] is not None for r in records)
+
+
+def test_gen_data_offers_each_kind_its_flags_can_build():
+    parser = oscisel.cli._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    kind = next(a for a in commands.choices["gen-data"]._actions if a.dest == "kind")
+    assert kind.choices == ["two_moons", "blobs", "gauss_linear"]

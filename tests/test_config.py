@@ -3,10 +3,11 @@ dataset and model objects are checked when it is made, from one table."""
 
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from oscisel.config import KEY_TYPES, SPEC_KEYS, RunConfig
-from oscisel.errors import ConfigError
+from oscisel.errors import ConfigError, ParameterDomainError
 
 BASE = dict(
     dataset={"kind": "two_moons", "n_train": 40, "n_test": 20, "noise": 0.1},
@@ -49,3 +50,46 @@ def test_every_key_has_a_type_or_is_checked_by_name():
     assert sorted(keys - CHECKED_BY_NAME - set(KEY_TYPES)) == []
     assert sorted(set(KEY_TYPES) - keys) == []
     assert sorted(set(KEY_TYPES) & CHECKED_BY_NAME) == []
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [({"target_ratio": 1.5},
+      "target ratio must satisfy eps < p < 1 - eps, got p=1.5, eps=0.05"),
+     ({"margin": 0.7}, "margin must satisfy 0 < eps < 0.5, got 0.7"),
+     ({"target_ratio": 0, "schedule_mode": "fixed"},
+      "fixed ratio must be in (0, 1], got 0")],
+    ids=["target=1.5", "margin=0.7", "fixed-target=0"],
+)
+def test_a_schedule_out_of_its_domain_fails_when_the_config_is_made(overrides,
+                                                                    message):
+    with pytest.raises(ParameterDomainError) as info:
+        RunConfig(**{**BASE, **overrides})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"learning_rate": np.float32(0.1)}, {"learning_rate": np.int64(1)},
+     {"epochs": np.int64(2)}],
+    ids=["learning_rate=float32", "learning_rate=int64", "epochs=int64"],
+)
+def test_numpy_scalars_are_numbers(overrides):
+    RunConfig(**{**BASE, **overrides})
+
+
+@pytest.mark.parametrize(
+    "key, what", [("learning_rate", "a number"), ("epochs", "an integer")]
+)
+def test_a_numpy_bool_is_no_number(key, what):
+    with pytest.raises(ConfigError, match=f"^{key} must be {what}, got "):
+        RunConfig(**{**BASE, key: np.bool_(True)})
+
+
+@pytest.mark.parametrize(
+    "value", [np.float32("inf"), np.float32("nan"), np.longdouble(1e300) ** 2],
+    ids=["float32-inf", "float32-nan", "longdouble-beyond-float64"],
+)
+def test_a_numpy_learning_rate_must_be_a_finite_float64(value):
+    with pytest.raises(ParameterDomainError, match="learning_rate must be finite"):
+        RunConfig(**{**BASE, "learning_rate": value})

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import oscisel.data
 from oscisel.data import (
     Dataset,
     gen_blobs,
@@ -303,3 +304,42 @@ def test_osds_hand_written_file_loads(tmp_path):
     loaded = load_osds(path)
     assert loaded.labels.tolist() == [1, 0, 0, -2**63 + 1024]
     assert loaded.labels.dtype == np.int64
+
+
+def _split_bytes(spec: dict) -> list:
+    return [(ds.split, ds.n_classes, ds.inputs.tobytes(), ds.labels.tobytes())
+            for ds in oscisel.data.datasets_from_spec(spec, seed=3)]
+
+
+BLOBS = {"kind": "blobs", "classes": 3, "per_class": 7, "spread": 0.4}
+GAUSS_LINEAR = {"kind": "gauss_linear", "n_train": 9, "d_in": 3}
+TWO_MOONS = {"kind": "two_moons", "n_train": 9, "n_test": 5, "noise": 0.1}
+
+
+# each optional key with the default that docs/config.md states
+@pytest.mark.parametrize(
+    "spec, key, default",
+    [(BLOBS, "d_in", 2), (BLOBS, "test_per_class", 7),
+     (GAUSS_LINEAR, "noise", 0.0), (GAUSS_LINEAR, "n_test", 9),
+     (TWO_MOONS, "label_noise", 0.0), (BLOBS, "label_noise", 0.0),
+     (GAUSS_LINEAR, "label_noise", 0.0)],
+    ids=["blobs-d_in", "blobs-test_per_class", "gauss_linear-noise",
+         "gauss_linear-n_test", "two_moons-label_noise", "blobs-label_noise",
+         "gauss_linear-label_noise"],
+)
+def test_an_optional_key_left_out_takes_its_documented_default(spec, key, default):
+    assert _split_bytes(spec) == _split_bytes({**spec, key: default})
+
+
+def test_idx_without_limits_keeps_every_row(tmp_path):
+    images = np.arange(5 * 2 * 2, dtype=np.uint8).reshape(5, 2, 2)
+    labels = np.array([0, 1, 2, 1, 0], dtype=np.uint8)
+    (tmp_path / "train").mkdir()
+    (tmp_path / "test").mkdir()
+    img, lbl = write_idx_pair(tmp_path / "train", images, labels)
+    test_img, test_lbl = write_idx_pair(tmp_path / "test", images[:3], labels[:3])
+    spec = {"kind": "idx", "images": str(img), "labels": str(lbl),
+            "test_images": str(test_img), "test_labels": str(test_lbl)}
+    train, test = oscisel.data.datasets_from_spec(spec, seed=0)
+    assert (train.n, test.n) == (5, 3)
+    assert _split_bytes(spec) == _split_bytes({**spec, "limit": 5, "test_limit": 3})

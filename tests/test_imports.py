@@ -1,11 +1,14 @@
 """The modules of src/oscisel import one another without a cycle, and
-config, which defines a run, imports neither the trainer nor the CLI.
+config, which defines a run, imports neither the trainer nor the CLI. Only
+data, whose DATASETS table states each dataset kind once, names one.
 
-The imports are read from the source with ast; nothing is imported.
+The imports and string literals are read from the source with ast.
 """
 
 import ast
 from pathlib import Path
+
+from oscisel.data import DATASETS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oscisel"
 
@@ -53,3 +56,16 @@ def test_the_package_import_graph_has_no_cycle():
 
 def test_config_imports_neither_trainer_nor_cli():
     assert _reachable(_imports(), "config") & {"trainer", "cli"} == set()
+
+
+def test_only_data_names_a_dataset_kind():
+    kinds = set(DATASETS)
+    assert kinds, "data.DATASETS names no kind"
+    named = sorted(
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for path in PACKAGE.glob("*.py") if path.name != "data.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value in kinds
+    )
+    assert named == [], f"dataset kinds named outside data.py: {named}"
