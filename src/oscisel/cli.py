@@ -24,6 +24,7 @@ from .data import DATASETS, datasets_from_spec, save_osds
 from .errors import ConfigError, FormatError, NumericError, ParameterDomainError
 from .regprobe import (
     estimate_r,
+    lambda_factor,
     trial_subset_size,
     verify_one_step_expansion,
 )
@@ -31,7 +32,6 @@ from .schedule import RatioTrajectory, derive_params
 from .trainer import (
     build_datasets,
     build_model,
-    epoch_lr,
     run_training,
 )
 
@@ -160,11 +160,9 @@ def _cmd_derive(args) -> int:
 
 
 def _write_run_outputs(loaded: LoadedConfig, result, wall_time: float) -> None:
-    out = loaded.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "metrics.jsonl", "w") as f:
-        for m in result.metrics:
-            f.write(_json_line(m.to_record()))
+    # each file's text is built before the directory is made, so a record
+    # that cannot be written leaves no file behind
+    metrics = "".join(_json_line(m.to_record()) for m in result.metrics)
     summary = dict(result.ledger.summary())
     summary.update(
         {
@@ -174,9 +172,10 @@ def _write_run_outputs(loaded: LoadedConfig, result, wall_time: float) -> None:
             "wall_time_s": wall_time,
         }
     )
-    with open(out / "summary.json", "w") as f:
-        json.dump(summary, f, indent=2)
-        f.write("\n")
+    out = loaded.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "metrics.jsonl").write_text(metrics)
+    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     np.save(out / "final_theta.npy", result.final_state.theta)
 
 
@@ -199,30 +198,26 @@ def _cmd_probe(args) -> int:
     loaded = load_config(args.config)
     _check_out_dir(loaded.out_dir, "regprobe.jsonl")
     ratios = _parse_ratio_list(args.p)
-    bad = [p for p in ratios if not 0.0 < p < 1.0]
-    if bad:
-        raise ParameterDomainError(f"--p values must be in (0, 1), got {bad}")
+    for p in ratios:  # all of them, before any training
+        lambda_factor(p)
     cfg = loaded.run
     if cfg.probe_every == 0:
         cfg = replace(cfg, probe_every=1)
     result = run_training(cfg)
     n = result.ledger.n
-
+    lines = []
+    for p in ratios:
+        # one Tr(HC) per snapshot, from the run; only (1-p)/p varies with p
+        for epoch, _, trace_hc in result.snapshots:
+            # the epoch's learning rate, as in the run's own R_estimate
+            lam, r = estimate_r(trace_hc, n, p, cfg.learning_rate_at(epoch))
+            lines.append(_json_line({
+                "p": p, "epoch": epoch, "trace_HC": trace_hc,
+                "lambda": lam, "R": r, "probes": n, "seed": cfg.seed,
+            }))
+    # written only once every line is built, so a bad record leaves no file
     loaded.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(loaded.out_dir / "regprobe.jsonl", "w") as f:
-        for p in ratios:
-            # one Tr(HC) per snapshot, from the run; only (1-p)/p varies with p
-            for epoch, _, trace_hc in result.snapshots:
-                # the epoch's learning rate, as in the run's own R_estimate
-                lam, r = estimate_r(trace_hc, n, p, epoch_lr(cfg, epoch))
-                f.write(
-                    _json_line(
-                        {
-                            "p": p, "epoch": epoch, "trace_HC": trace_hc,
-                            "lambda": lam, "R": r, "probes": n, "seed": cfg.seed,
-                        }
-                    )
-                )
+    (loaded.out_dir / "regprobe.jsonl").write_text("".join(lines))
     print(f"probe complete: {loaded.out_dir / 'regprobe.jsonl'}")
     return 0
 
@@ -316,8 +311,15 @@ def _load_run_dir(run_dir: Path) -> dict:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}:{lineno}: parse error: {exc}") from exc
-        if record.get("test_accuracy") is not None:
-            final_acc = record["test_accuracy"]
+        if not isinstance(record, dict):
+            raise FormatError(f"{path}:{lineno}: not a JSON object")
+        acc = record.get("test_accuracy")
+        if acc is None:
+            continue
+        if not is_number(acc):
+            raise FormatError(f"{path}:{lineno}: test_accuracy must be a number "
+                              f"or null, got {acc!r}")
+        final_acc = acc
     return {
         "name": summary.get("name", run_dir.name),
         "final_accuracy": final_acc,

@@ -2,13 +2,13 @@
 
 KEY_TYPES says what each scalar key holds, and check_keys checks a dict
 against it: missing keys, then unknown keys, then value types. A RunConfig
-checks its fields, its ratio schedule, and its dataset and model objects
-against SPEC_KEYS, when it is made, so it is valid by construction and the
-builders in trainer take it as it is. SPEC_KEYS is built from data.DATASETS
-and models.MODELS, which state each kind once. A config file (JSON, schema
-"v1") holds RunConfig's fields plus out_dir, an optional group name for
-report aggregation, and the schema version; unknown keys are rejected so
-typos fail loudly. See docs/config.md.
+checks its fields, its ratio and learning-rate schedules, and its dataset
+and model objects against SPEC_KEYS, when it is made, so it is valid by
+construction and the builders in trainer take it as it is. SPEC_KEYS is
+built from data.DATASETS and models.MODELS, which state each kind once. A
+config file (JSON, schema "v1") holds RunConfig's fields plus out_dir, an
+optional group name for report aggregation, and the schema version; unknown
+keys are rejected so typos fail loudly. See docs/config.md.
 """
 
 from __future__ import annotations
@@ -145,8 +145,7 @@ class RunConfig:
         if not isinstance(self.policy, str) or self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}")
         self.schedule_params()  # fails on a bad mode, target_ratio or margin
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
+        self.learning_rate_at(0)  # fails on an unknown lr_schedule
         _check_object("dataset", self.dataset)
         _check_object("model", self.model)
 
@@ -158,6 +157,15 @@ class RunConfig:
         if self.schedule_mode == "oscillatory":
             return derive_params(self.target_ratio, self.margin)
         raise ConfigError(f"unknown schedule_mode {self.schedule_mode!r}")
+
+    def learning_rate_at(self, epoch: int) -> float:
+        """The learning rate of one epoch under lr_schedule: learning_rate
+        throughout, or its cosine decay over the run's epochs."""
+        if self.lr_schedule == "constant":
+            return self.learning_rate
+        if self.lr_schedule == "cosine":
+            return self.learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / self.epochs))
+        raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
 
 
 # a config file holds RunConfig's fields, optional where RunConfig has a

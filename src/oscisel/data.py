@@ -145,13 +145,17 @@ def gen_gauss_linear(
 
 def inject_label_noise(ds: Dataset, rate: float, seed: int) -> Dataset:
     """Flip exactly floor(rate*N) labels to a different uniformly-drawn class;
-    rate 0 returns ds as it is, regression data included."""
+    rate 0 returns ds as it is, regression data and any class count included.
+    A positive rate needs a class to flip to: at least 2 classes."""
     if not 0.0 <= rate < 1.0:
         raise ParameterDomainError(f"noise rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return ds
     if not ds.is_classification:
         raise ParameterDomainError("label noise applies to classification only")
+    if ds.n_classes < 2:
+        raise ParameterDomainError(
+            f"label noise needs classes >= 2, got {ds.n_classes}")
     rng = PortableRNG(seed)
     n_flip = math.floor(rate * ds.n + 1e-9)
     flip = rng.sample_without_replacement(ds.n, n_flip)

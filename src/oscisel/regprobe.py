@@ -43,10 +43,15 @@ _TRIAL_CHUNK = 8
 
 
 def lambda_factor(p: float) -> float:
-    """Volumetric modulation (1-p)/p; strictly decreasing on (0, 1)."""
+    """Volumetric modulation (1-p)/p; strictly decreasing on (0, 1). A p so
+    small that (1-p)/p overflows is out of the domain too."""
     if not 0.0 < p < 1.0:
         raise ParameterDomainError(f"p must be in (0, 1), got {p}")
-    return (1.0 - p) / p
+    with np.errstate(over="ignore"):
+        lam = (1.0 - p) / p
+    if not math.isfinite(lam):
+        raise ParameterDomainError(f"p={p} is too small: (1-p)/p overflows")
+    return lam
 
 
 def gradient_covariance_trace_hc(state: ModelState, batch: Batch) -> float:

@@ -1,8 +1,9 @@
 """Sample selection policies over a per-sample loss memory.
 
-Hard mining picks the largest stored losses; the random policy draws uniform
-subsets. Both return subsets of size max(1, floor(p_t * N)) — the floor keeps
-the budget ledger safe against rounding, the min-1 avoids empty epochs.
+A policy maps (memory, ratio, rng) to max(1, floor(p_t * N)) sorted indices
+— the floor keeps the budget ledger safe against rounding, the min-1 avoids
+empty epochs. Hard mining picks the largest stored losses, and draws
+uniformly while none is stored; the random policy draws uniform subsets.
 """
 
 from __future__ import annotations
@@ -97,8 +98,11 @@ def update_losses(
     return LossMemory(values=values, last_updated=updated)
 
 
-# config policy name -> callable(mem, p_t, rng) -> sorted index array
+# config policy name -> callable(mem, p_t, rng) -> sorted index array, called
+# every epoch; hard mining has no loss to rank until a row is scored
 POLICIES = {
-    "hard_mining": lambda mem, p_t, rng: select_hard_mining(mem, p_t),
+    "hard_mining": lambda mem, p_t, rng: (
+        select_hard_mining(mem, p_t) if (mem.last_updated >= 0).any()
+        else select_random(mem.n, p_t, rng)),
     "random": lambda mem, p_t, rng: select_random(mem.n, p_t, rng),
 }

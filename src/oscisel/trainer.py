@@ -3,17 +3,17 @@
 A RunConfig is checked when it is made, so build_datasets and build_model
 take it as it is. Before the first step, build_model checks the training
 split against the model it builds, and run_training checks the test split.
-Each epoch: get the scheduled ratio, pick a subset (random cold start at
-epoch 0 for hard mining), shuffle it, run mini-batch SGD, and record the
+Each epoch: get the scheduled ratio and learning rate, pick a subset with
+the config's policy, shuffle it, run mini-batch SGD, and record the
 pre-update forward losses into the loss memory, once per epoch; no pass
 scores unselected data. Each minibatch runs one forward pass, which gives
-both its losses and its gradient. Everything is driven by labeled
-sub-streams of the single run seed, so a fixed config is bit-reproducible.
+both its losses and its gradient. The trainer names no run-config choice;
+labeled sub-streams of the single run seed drive everything, so a fixed
+config is bit-reproducible.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 from .config import RunConfig
@@ -69,8 +69,7 @@ def build_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
 
 def build_model(cfg: RunConfig, train: Dataset) -> ModelState:
     """The config's model, initialized, after checking train against it."""
-    model = cfg.model
-    arch = Arch(model["kind"], train.d_in, model.get("hidden", 0), train.n_classes)
+    arch = Arch(d_in=train.d_in, classes=train.n_classes, **cfg.model)
     state = init_state(arch, PortableRNG(subseed(cfg.seed, "model_init")))
     check_batch(state, train)
     return state
@@ -89,13 +88,6 @@ def evaluate(state: ModelState, test: Dataset) -> tuple[float, float | None]:
     return loss, float((predict(state, test) == test.labels).mean())
 
 
-def epoch_lr(cfg: RunConfig, epoch: int) -> float:
-    """The learning rate of one epoch under cfg.lr_schedule."""
-    if cfg.lr_schedule == "cosine":
-        return cfg.learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.epochs))
-    return cfg.learning_rate
-
-
 def run_training(cfg: RunConfig) -> TrainResult:
     train, test = build_datasets(cfg)
     state = build_model(cfg, train)
@@ -106,7 +98,6 @@ def run_training(cfg: RunConfig) -> TrainResult:
     rng_select = PortableRNG(subseed(cfg.seed, "select"))
     rng_shuffle = PortableRNG(subseed(cfg.seed, "shuffle"))
     policy = POLICIES[cfg.policy]
-    random_policy = POLICIES["random"]
     velocity = np.zeros_like(state.theta)
 
     metrics: list[EpochMetrics] = []
@@ -116,6 +107,7 @@ def run_training(cfg: RunConfig) -> TrainResult:
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             p_t = traj.ratio_at(epoch)
+            eta = cfg.learning_rate_at(epoch)
             probing = cfg.probe_every > 0 and epoch % cfg.probe_every == 0
             r_estimate = None
             if probing:
@@ -123,14 +115,11 @@ def run_training(cfg: RunConfig) -> TrainResult:
                 # tracer, which patches regprobe's globals, counts these traces
                 trace_hc = regprobe.gradient_covariance_trace_hc(state, train)
                 snapshots.append((epoch, state.theta.copy(), trace_hc))
-                _, r_estimate = estimate_r(trace_hc, train.n, p_t, epoch_lr(cfg, epoch))
+                _, r_estimate = estimate_r(trace_hc, train.n, p_t, eta)
 
-            # epoch 0 has no recorded losses yet: random cold start
-            active = random_policy if epoch == 0 else policy
             # a fresh sorted array, shuffled in place into the visiting order
-            order = active(memory, p_t, rng_select)
+            order = policy(memory, p_t, rng_select)
             rng_shuffle.shuffle(order)
-            eta = epoch_lr(cfg, epoch)
             loss_sum = 0.0
             # pre-update forward losses of the epoch, aligned with order; the
             # memory takes them in one update after the last step, which is the

@@ -893,3 +893,105 @@ def test_gen_data_offers_each_kind_its_flags_can_build():
                     if isinstance(a, argparse._SubParsersAction))
     kind = next(a for a in commands.choices["gen-data"]._actions if a.dest == "kind")
     assert kind.choices == ["two_moons", "blobs", "gauss_linear"]
+
+
+@pytest.mark.parametrize("classes", [0, 1])
+def test_label_noise_on_fewer_than_two_classes_is_a_usage_error(tmp_path, capsys,
+                                                               classes):
+    from oscisel.data import Dataset, save_osds
+
+    for split in ("train", "test"):
+        save_osds(Dataset(np.zeros((4, 2)), np.zeros(4, dtype=np.int64), split,
+                          classes), tmp_path / f"{split}.osds")
+    doc = base_config(
+        tmp_path / "run", model={"kind": "logistic"},
+        dataset={"kind": "osds", "train": str(tmp_path / "train.osds"),
+                 "test": str(tmp_path / "test.osds"), "label_noise": 0.2},
+    )
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 1
+    assert (capsys.readouterr().err
+            == f"error: label noise needs classes >= 2, got {classes}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_probe_ratio_whose_lambda_overflows_fails_before_training(tmp_path,
+                                                                   monkeypatch,
+                                                                   capsys):
+    def no_training(cfg):
+        raise AssertionError("run_training called")
+
+    monkeypatch.setattr(oscisel.cli, "run_training", no_training)
+    cfg = write_config(tmp_path, base_config(tmp_path / "probe"))
+    assert main(["probe", "--config", str(cfg), "--p", "0.5,1e-310"]) == 1
+    assert (capsys.readouterr().err
+            == "error: p=1e-310 is too small: (1-p)/p overflows\n")
+    assert not (tmp_path / "probe").exists()
+
+
+def test_a_run_ratio_whose_lambda_overflows_fails_before_any_step(tmp_path,
+                                                                 monkeypatch,
+                                                                 capsys):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(oscisel.trainer, "mean_gradient", no_step)
+    doc = base_config(tmp_path / "run", schedule_mode="fixed", target_ratio=1e-310,
+                      probe_every=1)
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 1
+    assert (capsys.readouterr().err
+            == "error: p=1e-310 is too small: (1-p)/p overflows\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_probe_record_that_cannot_be_written_leaves_no_file(tmp_path,
+                                                             monkeypatch, capsys):
+    real = oscisel.cli.estimate_r
+
+    def inf_at_the_second_ratio(trace_hc, n, p, eta):
+        lam, r = real(trace_hc, n, p, eta)
+        return lam, (float("inf") if p == 0.25 else r)
+
+    monkeypatch.setattr(oscisel.cli, "estimate_r", inf_at_the_second_ratio)
+    cfg = write_config(tmp_path, base_config(tmp_path / "probe", epochs=2))
+    assert main(["probe", "--config", str(cfg), "--p", "0.5,0.25"]) == 2
+    assert (capsys.readouterr().err
+            == "runtime error: cannot write non-finite R as JSON\n")
+    assert not (tmp_path / "probe" / "regprobe.jsonl").exists()
+
+
+def test_a_run_record_that_cannot_be_written_leaves_no_file(tmp_path, monkeypatch,
+                                                           capsys):
+    real = oscisel.cli.run_training
+
+    def last_estimate_inf(cfg):
+        result = real(cfg)
+        result.metrics[-1].R_estimate = float("inf")
+        return result
+
+    monkeypatch.setattr(oscisel.cli, "run_training", last_estimate_inf)
+    cfg = write_config(tmp_path, base_config(tmp_path / "run", epochs=2))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert (capsys.readouterr().err
+            == "runtime error: cannot write non-finite R_estimate as JSON\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("[1, 2]", "not a JSON object"),
+     ('{"test_accuracy": "high"}', "test_accuracy must be a number or null, "
+                                   "got 'high'"),
+     ('{"test_accuracy": true}', "test_accuracy must be a number or null, "
+                                 "got True")],
+    ids=["list", "string", "bool"],
+)
+def test_report_rejects_a_malformed_metrics_record(tmp_path, capsys, line, message):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "summary.json").write_text(json.dumps(
+        {"schema_version": "v1", "name": "r", "realized_ratio": 0.5,
+         "wall_time_s": 1.0}))
+    metrics = run_dir / "metrics.jsonl"
+    metrics.write_text('{"test_accuracy": 0.5}\n' + line + "\n")
+    assert main(["report", "--in", str(run_dir)]) == 2
+    assert capsys.readouterr().err == f"runtime error: {metrics}:2: {message}\n"

@@ -1,6 +1,7 @@
 """RunConfig is valid by construction: its keys, their values and its
 dataset and model objects are checked when it is made, from one table."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -93,3 +94,16 @@ def test_a_numpy_bool_is_no_number(key, what):
 def test_a_numpy_learning_rate_must_be_a_finite_float64(value):
     with pytest.raises(ParameterDomainError, match="learning_rate must be finite"):
         RunConfig(**{**BASE, "learning_rate": value})
+
+
+@pytest.mark.parametrize("rate, epochs", [(0.5, 3), (0.1, 7), (1e-3, 50), (2.0, 1)])
+def test_the_learning_rate_schedules_give_the_same_floats(rate, epochs):
+    constant = RunConfig(**{**BASE, "learning_rate": rate, "epochs": epochs})
+    cosine = RunConfig(**{**BASE, "learning_rate": rate, "epochs": epochs,
+                          "lr_schedule": "cosine"})
+    for epoch in range(epochs):
+        assert constant.learning_rate_at(epoch) == rate
+        # the expression the trainer wrote inline before the schedule moved
+        # into RunConfig, so the runs it pins keep their bytes
+        old = rate * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
+        assert cosine.learning_rate_at(epoch).hex() == old.hex()

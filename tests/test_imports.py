@@ -1,6 +1,7 @@
 """The modules of src/oscisel import one another without a cycle, and
 config, which defines a run, imports neither the trainer nor the CLI. Only
-data, whose DATASETS table states each dataset kind once, names one.
+data, whose DATASETS table states each dataset kind once, names one, and
+the trainer names no run-config choice.
 
 The imports and string literals are read from the source with ast.
 """
@@ -9,6 +10,8 @@ import ast
 from pathlib import Path
 
 from oscisel.data import DATASETS
+from oscisel.models import MODELS
+from oscisel.selection import POLICIES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oscisel"
 
@@ -58,14 +61,28 @@ def test_config_imports_neither_trainer_nor_cli():
     assert _reachable(_imports(), "config") & {"trainer", "cli"} == set()
 
 
+def _named(paths, names: set) -> list[str]:
+    """Each string literal of the files at paths that is one of names."""
+    return sorted(
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value in names
+    )
+
+
 def test_only_data_names_a_dataset_kind():
     kinds = set(DATASETS)
     assert kinds, "data.DATASETS names no kind"
-    named = sorted(
-        f"{path.name}:{node.lineno}: {node.value!r}"
-        for path in PACKAGE.glob("*.py") if path.name != "data.py"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        and node.value in kinds
-    )
+    named = _named((p for p in PACKAGE.glob("*.py") if p.name != "data.py"), kinds)
     assert named == [], f"dataset kinds named outside data.py: {named}"
+
+
+def test_the_trainer_names_no_run_config_choice():
+    # policies, lr schedules, schedule modes, model kinds and keys, dataset
+    # kinds: each is branched on in the module that states it
+    choices = (set(POLICIES) | {"constant", "cosine"} | {"oscillatory", "fixed"}
+               | set(MODELS) | set().union(*MODELS.values()) | set(DATASETS))
+    named = _named([PACKAGE / "trainer.py"], choices)
+    assert named == [], f"run-config choices named in trainer.py: {named}"

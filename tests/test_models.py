@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from oscisel.errors import NumericError, StructuralError
 from oscisel.models import (
+    MODELS,
     Arch,
     Batch,
     ModelState,
@@ -47,6 +50,15 @@ def fd_gradient(state, batch, h=1e-6):
             - mean_loss(ModelState(state.arch, tm), batch)
         ) / (2 * h)
     return out
+
+
+def test_every_model_key_is_a_field_of_arch():
+    # build_model hands a checked model object to Arch as keyword arguments
+    keys = {"kind"}.union(*MODELS.values())
+    assert keys <= {f.name for f in fields(Arch)}
+    for kind, required in MODELS.items():
+        model = {"kind": kind, **dict.fromkeys(required, 2)}
+        assert Arch(d_in=3, classes=2, **model).kind == kind
 
 
 def test_param_counts():

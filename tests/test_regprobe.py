@@ -54,6 +54,13 @@ def test_lambda_values_and_monotonicity():
         lambda_factor(1.0)
 
 
+@pytest.mark.parametrize("p", [1e-310, np.float64(1e-310)], ids=["float", "float64"])
+def test_a_ratio_whose_lambda_overflows_is_out_of_the_domain(p):
+    with pytest.raises(ParameterDomainError,
+                       match=r"^p=1e-310 is too small: \(1-p\)/p overflows$"):
+        lambda_factor(p)
+
+
 def test_trace_hc_quadratic_dense_oracle():
     state, batch = quadratic_setup()
     x = batch.inputs

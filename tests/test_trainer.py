@@ -7,7 +7,13 @@ from oscisel.models import Batch, ModelState, loss_per_sample, mean_gradient
 from oscisel.regprobe import estimate_r, gradient_covariance_trace_hc
 from oscisel.rng import PortableRNG, subseed
 from oscisel.schedule import RatioTrajectory, constant_params
-from oscisel.selection import POLICIES, LossMemory, update_losses
+from oscisel.selection import (
+    POLICIES,
+    LossMemory,
+    select_hard_mining,
+    select_random,
+    update_losses,
+)
 from oscisel import trainer
 from oscisel.trainer import (
     EpochMetrics,
@@ -96,13 +102,24 @@ def test_fixed_mode_equals_degenerate_oscillation():
     assert all(m.n_selected == 100 for m in fixed.metrics)
 
 
-def test_cold_start_is_random_then_hard_mining():
-    result = run_training(moons_config(epochs=4))
-    # epoch 0 scores 5% (random cold start); the epoch-1 recovery at 95%
-    # scores at least 190 samples; never-selected stragglers may stay stale
-    scored = result.loss_memory.last_updated >= 0
-    assert (result.loss_memory.last_updated == 0).sum() >= 0
-    assert scored.sum() >= 190
+def test_cold_start_is_random_then_hard_mining(monkeypatch):
+    updates = []
+
+    def recorded(mem, indices, losses, epoch):
+        after = update_losses(mem, indices, losses, epoch)
+        updates.append((np.sort(indices), after))
+        return after
+
+    monkeypatch.setattr(trainer, "update_losses", recorded)
+    cfg = moons_config(epochs=4)
+    result = run_training(cfg)
+    p = [m.p_t for m in result.metrics]
+    # epoch 0 has no stored loss to rank: hard mining draws the random
+    # policy's subset, from the same select stream words
+    rng = PortableRNG(subseed(cfg.seed, "select"))
+    assert np.array_equal(updates[0][0], select_random(200, p[0], rng))
+    # epoch 1 ranks the losses epoch 0 stored
+    assert np.array_equal(updates[1][0], select_hard_mining(updates[0][1], p[1]))
 
 
 def test_loss_memory_records_pre_update_losses():
