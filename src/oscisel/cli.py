@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SCHEMA_VERSION, SPEC_KEYS, LoadedConfig, is_number, load_config
+from .config import SCHEMA_VERSION, SPEC_KEYS, is_number, load_config
 from .data import DATASETS, datasets_from_spec, save_osds
 from .errors import ConfigError, FormatError, NumericError, ParameterDomainError
 from .regprobe import (
@@ -143,6 +143,14 @@ def _check_out_dir(path: Path, *files: str) -> None:
             raise _UsageError(f"output file {path / name} is a directory")
 
 
+def _write(out_dir: Path, texts: dict[str, str]) -> None:
+    """Make out_dir and write each named text into it. Callers build every
+    text first, so a record that cannot be written leaves no file behind."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out_dir / name).write_text(text)
+
+
 def _cmd_derive(args) -> int:
     params = derive_params(args.target_ratio, args.epsilon)
     # built before anything is printed, so a bad --epochs prints nothing
@@ -159,37 +167,23 @@ def _cmd_derive(args) -> int:
     return 0
 
 
-def _write_run_outputs(loaded: LoadedConfig, result, wall_time: float) -> None:
-    # each file's text is built before the directory is made, so a record
-    # that cannot be written leaves no file behind
-    metrics = "".join(_json_line(m.to_record()) for m in result.metrics)
-    summary = dict(result.ledger.summary())
-    summary.update(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "name": loaded.name,
-            "seed": loaded.run.seed,
-            "wall_time_s": wall_time,
-        }
-    )
-    out = loaded.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.jsonl").write_text(metrics)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    np.save(out / "final_theta.npy", result.final_state.theta)
-
-
 def _cmd_run(args) -> int:
     loaded = load_config(args.config)
-    _check_out_dir(loaded.out_dir, "metrics.jsonl", "summary.json", "final_theta.npy")
+    out = loaded.out_dir
+    _check_out_dir(out, "metrics.jsonl", "summary.json", "final_theta.npy")
     start = time.monotonic()
     result = run_training(loaded.run)
-    _write_run_outputs(loaded, result, time.monotonic() - start)
-    final = result.metrics[-1]
+    summary = {**result.ledger.summary(), "schema_version": SCHEMA_VERSION,
+               "name": loaded.name, "seed": loaded.run.seed,
+               "wall_time_s": time.monotonic() - start}
+    _write(out, {
+        "metrics.jsonl": "".join(_json_line(m.to_record()) for m in result.metrics),
+        "summary.json": json.dumps(summary, indent=2) + "\n",
+    })
+    np.save(out / "final_theta.npy", result.final_state.theta)
     print(
-        f"run complete: {loaded.out_dir} "
-        f"realized_ratio={result.ledger.summary()['realized_ratio']:.4f} "
-        f"test_accuracy={final.test_accuracy}"
+        f"run complete: {out} realized_ratio={summary['realized_ratio']:.4f} "
+        f"test_accuracy={result.metrics[-1].test_accuracy}"
     )
     return 0
 
@@ -215,9 +209,7 @@ def _cmd_probe(args) -> int:
                 "p": p, "epoch": epoch, "trace_HC": trace_hc,
                 "lambda": lam, "R": r, "probes": n, "seed": cfg.seed,
             }))
-    # written only once every line is built, so a bad record leaves no file
-    loaded.out_dir.mkdir(parents=True, exist_ok=True)
-    (loaded.out_dir / "regprobe.jsonl").write_text("".join(lines))
+    _write(loaded.out_dir, {"regprobe.jsonl": "".join(lines)})
     print(f"probe complete: {loaded.out_dir / 'regprobe.jsonl'}")
     return 0
 
@@ -237,21 +229,21 @@ def _cmd_verify(args) -> int:
         state, train, ratios, cfg.learning_rate, args.trials,
         seed=cfg.seed,
     )
-    loaded.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(loaded.out_dir / "regprobe.jsonl", "w") as f:
-        for report in reports:
-            report.pop("trial_losses")
-            f.write(_json_line({"epoch": 0, **report}))
-            # with no spread (p = 1 steps every trial alike) a gap in
-            # standard errors would read 0 whatever the gap
-            gap = (
-                f"gap_in_se={report['gap_in_se']:.2f}" if report["mc_se"] > 0.0
-                else f"gap={report['gap']:.3g}"
-            )
-            print(
-                f"p={report['p']}: mc_mean={report['mc_mean']:.8g} "
-                f"prediction={report['prediction']:.8g} {gap}"
-            )
+    for report in reports:
+        report.pop("trial_losses")
+    _write(loaded.out_dir, {"regprobe.jsonl": "".join(
+        _json_line({"epoch": 0, **report}) for report in reports)})
+    for report in reports:
+        # with no spread (p = 1 steps every trial alike) a gap in standard
+        # errors would read 0 whatever the gap
+        gap = (
+            f"gap_in_se={report['gap_in_se']:.2f}" if report["mc_se"] > 0.0
+            else f"gap={report['gap']:.3g}"
+        )
+        print(
+            f"p={report['p']}: mc_mean={report['mc_mean']:.8g} "
+            f"prediction={report['prediction']:.8g} {gap}"
+        )
     return 0
 
 
@@ -298,8 +290,11 @@ def _load_run_dir(run_dir: Path) -> dict:
     if "realized_ratio" not in summary:
         raise FormatError(f"{path}: missing key 'realized_ratio'")
     for key in ("realized_ratio", "wall_time_s"):
-        if not is_number(summary.get(key, 0.0)):
-            raise FormatError(f"{path}: {key} must be a number, got {summary[key]!r}")
+        value = summary.get(key, 0.0)
+        if not is_number(value):
+            raise FormatError(f"{path}: {key} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, inf or an int past float
+            raise FormatError(f"{path}: {key} must be finite, got {value!r}")
     if not isinstance(summary.get("name", ""), str):
         raise FormatError(f"{path}: name must be a string, got {summary['name']!r}")
     final_acc = None
@@ -319,6 +314,9 @@ def _load_run_dir(run_dir: Path) -> dict:
         if not is_number(acc):
             raise FormatError(f"{path}:{lineno}: test_accuracy must be a number "
                               f"or null, got {acc!r}")
+        if not 0.0 <= acc <= 1.0:  # NaN included
+            raise FormatError(f"{path}:{lineno}: test_accuracy must lie in "
+                              f"[0, 1], got {acc!r}")
         final_acc = acc
     return {
         "name": summary.get("name", run_dir.name),

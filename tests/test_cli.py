@@ -155,12 +155,18 @@ def test_report_corrupt_metrics_line(tmp_path, capsys):
         (lambda s: "{not json", "parse error"),
         (lambda s: {**s, "realized_ratio": "0.3"}, "realized_ratio must be a number"),
         (lambda s: {**s, "wall_time_s": None}, "wall_time_s must be a number"),
+        (lambda s: {**s, "realized_ratio": float("nan")},
+         "realized_ratio must be finite, got nan"),
+        (lambda s: {**s, "wall_time_s": float("inf")},
+         "wall_time_s must be finite, got inf"),
+        (lambda s: {**s, "realized_ratio": 10**400},
+         "realized_ratio must be finite, got 1000"),
         (lambda s: {**s, "name": 3}, "name must be a string"),
         (lambda s: b"\xff" + json.dumps(s).encode(), "not UTF-8 text: 'utf-8' codec "
          "can't decode byte 0xff in position 0: invalid start byte"),
     ],
-    ids=["missing-key", "not-object", "not-json", "ratio-str", "wall-null", "name-int",
-         "not-utf8"],
+    ids=["missing-key", "not-object", "not-json", "ratio-str", "wall-null", "ratio-nan",
+         "wall-inf", "ratio-huge-int", "name-int", "not-utf8"],
 )
 def test_report_malformed_summary_names_the_file(tmp_path, capsys, edit, message):
     doc = base_config(tmp_path / "run")
@@ -976,14 +982,38 @@ def test_a_run_record_that_cannot_be_written_leaves_no_file(tmp_path, monkeypatc
     assert not (tmp_path / "run").exists()
 
 
+def test_a_verify_record_that_cannot_be_written_leaves_no_file(tmp_path,
+                                                              monkeypatch, capsys):
+    real = oscisel.cli.verify_one_step_expansion
+
+    def inf_at_the_second_ratio(*args, **kwargs):
+        reports = real(*args, **kwargs)
+        reports[1]["mc_mean"] = float("inf")
+        return reports
+
+    monkeypatch.setattr(oscisel.cli, "verify_one_step_expansion",
+                        inf_at_the_second_ratio)
+    cfg = write_config(tmp_path, base_config(tmp_path / "verify"))
+    assert main(["verify", "--config", str(cfg), "--p", "0.5,0.25",
+                 "--trials", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "runtime error: cannot write non-finite mc_mean as JSON\n"
+    assert captured.out == ""
+    assert not (tmp_path / "verify" / "regprobe.jsonl").exists()
+
+
 @pytest.mark.parametrize(
     "line, message",
     [("[1, 2]", "not a JSON object"),
      ('{"test_accuracy": "high"}', "test_accuracy must be a number or null, "
                                    "got 'high'"),
      ('{"test_accuracy": true}', "test_accuracy must be a number or null, "
-                                 "got True")],
-    ids=["list", "string", "bool"],
+                                 "got True"),
+     ('{"test_accuracy": NaN}', "test_accuracy must lie in [0, 1], got nan"),
+     ('{"test_accuracy": Infinity}', "test_accuracy must lie in [0, 1], got inf"),
+     ('{"test_accuracy": 7.5}', "test_accuracy must lie in [0, 1], got 7.5"),
+     ('{"test_accuracy": -0.1}', "test_accuracy must lie in [0, 1], got -0.1")],
+    ids=["list", "string", "bool", "nan", "inf", "above-one", "below-zero"],
 )
 def test_report_rejects_a_malformed_metrics_record(tmp_path, capsys, line, message):
     run_dir = tmp_path / "run"
@@ -995,3 +1025,4 @@ def test_report_rejects_a_malformed_metrics_record(tmp_path, capsys, line, messa
     metrics.write_text('{"test_accuracy": 0.5}\n' + line + "\n")
     assert main(["report", "--in", str(run_dir)]) == 2
     assert capsys.readouterr().err == f"runtime error: {metrics}:2: {message}\n"
+
