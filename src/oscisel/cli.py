@@ -25,7 +25,6 @@ from .errors import ConfigError, FormatError, NumericError, ParameterDomainError
 from .regprobe import (
     estimate_r,
     lambda_factor,
-    trial_subset_size,
     verify_one_step_expansion,
 )
 from .schedule import RatioTrajectory, derive_params
@@ -222,8 +221,6 @@ def _cmd_verify(args) -> int:
         raise ParameterDomainError(f"--trials must be >= 1, got {args.trials}")
     cfg = loaded.run
     train, _ = build_datasets(cfg)
-    for p in ratios:  # all of them, before regprobe.jsonl is opened
-        trial_subset_size(p, train.n)
     state = build_model(cfg, train)
     reports = verify_one_step_expansion(
         state, train, ratios, cfg.learning_rate, args.trials,
@@ -295,6 +292,12 @@ def _load_run_dir(run_dir: Path) -> dict:
             raise FormatError(f"{path}: {key} must be a number, got {value!r}")
         if not abs(value) <= sys.float_info.max:  # NaN, inf or an int past float
             raise FormatError(f"{path}: {key} must be finite, got {value!r}")
+    if not 0.0 < summary["realized_ratio"] <= 1.0:
+        raise FormatError(f"{path}: realized_ratio must lie in (0, 1], "
+                          f"got {summary['realized_ratio']!r}")
+    if summary.get("wall_time_s", 0.0) < 0.0:
+        raise FormatError(f"{path}: wall_time_s must be >= 0, "
+                          f"got {summary['wall_time_s']!r}")
     if not isinstance(summary.get("name", ""), str):
         raise FormatError(f"{path}: name must be a string, got {summary['name']!r}")
     final_acc = None

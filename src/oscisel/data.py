@@ -26,7 +26,6 @@ IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
 OSDS_MAGIC = b"OSDS"
 OSDS_VERSION = 1
-_NOISE_ROWS = 4096  # two_moons rows per block of noise draws
 
 
 @dataclass(frozen=True)
@@ -104,24 +103,23 @@ def gen_two_moons(n: int, noise: float, seed: int, split: str = "train") -> Data
     if n < 2:
         raise ParameterDomainError(f"n must be >= 2, got {n}")
     _check_scale("noise", noise)
-    rng = PortableRNG(seed)
     n0 = (n + 1) // 2
     n1 = n - n0
-    inputs = np.zeros((n, 2))
+    if noise > 0.0:
+        # row-major draws: x then y noise of row 0, then of row 1, ...; the
+        # arcs are added onto them in place, so no second (n, 2) array is made
+        inputs = PortableRNG(seed).normals(2 * n).reshape(n, 2)
+        inputs *= noise
+    else:
+        inputs = np.zeros((n, 2))
     labels = np.zeros(n, dtype=np.int64)
     t0 = np.linspace(0.0, math.pi, n0)
-    inputs[:n0, 0] = np.cos(t0)
-    inputs[:n0, 1] = np.sin(t0)
+    inputs[:n0, 0] += np.cos(t0)
+    inputs[:n0, 1] += np.sin(t0)
     t1 = np.linspace(0.0, math.pi, n1)
-    inputs[n0:, 0] = 1.0 - np.cos(t1)
-    inputs[n0:, 1] = 0.5 - np.sin(t1)
+    inputs[n0:, 0] += 1.0 - np.cos(t1)
+    inputs[n0:, 1] += 0.5 - np.sin(t1)
     labels[n0:] = 1
-    if noise > 0.0:
-        # row-major draws: x then y noise of row 0, then of row 1, ...; in
-        # chunks, so no 2n-long draw is held at once
-        for start in range(0, n, _NOISE_ROWS):
-            rows = inputs[start : start + _NOISE_ROWS]
-            rows += noise * rng.normals(rows.size).reshape(rows.shape)
     return Dataset(inputs, labels, split, 2)
 
 

@@ -14,13 +14,15 @@ lane k starts ``k * _LANE`` steps ahead, and all lanes run the recurrence
 together, one NumPy uint64 step per word of a lane (``_advance``). The lane
 starts come from the jump ``A**_LANE``: xoshiro256** is linear over GF(2), so
 ``_LANE`` steps are one 256x256 bit matrix A**_LANE, applied by tables of its
-columns, one table per 4 bits of the state. The matrix is made by running
-``_advance`` on the 256 unit states, not written down as constants, so a jump
-can only ever agree with the step it skips over. The output scrambler, which
-reads one state word, runs afterwards on the whole block in wrapping uint64
-arithmetic. How a draw is cut into lanes never changes a word of the stream;
-tests/test_rng.py pins known answers of every method, with draws long enough
-to take the lanes, so it cannot drift.
+images, one table per 4 bits of the state. The tables are made by running
+``_advance`` on the 1,024 states that each hold one nibble, not written down
+as constants, so a jump can only ever agree with the step it skips over. The
+output scrambler, which reads one state word, runs afterwards on the whole
+block in wrapping uint64 arithmetic. ``normals`` and ``belows`` draw in blocks
+of ``_BLOCK`` pairs or words, which bounds their temporaries. How a draw is
+cut into blocks or lanes never changes a word of the stream; tests/test_rng.py
+pins known answers of every method, with draws long enough to take the lanes
+and to cross a block, so it cannot drift.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _TWO_PI = 2.0 * math.pi
-# words per block in belows(), which bounds its temporaries
+# words per block in belows(), pairs per block in normals(): a block bounds a
+# draw's temporaries, and how a draw is cut into blocks never changes the stream
 _BLOCK = 4096
 # words per lane, and the shortest draw cut into lanes (see CHANGES.md for the
 # timings that chose them)
@@ -128,22 +131,28 @@ class PortableRNG:
         r = sqrt(-2*log(1 - u1)). When n leaves a sine unused it becomes the
         spare, which the next normals() call returns first.
         """
-        out = []
+        out = np.empty(n)
+        start = 0
         if n > 0 and self._spare_normal is not None:
-            out.append(self._spare_normal)
+            out[0] = self._spare_normal
             self._spare_normal = None
-        u = _unit(self._u64s(2 * ((n - len(out) + 1) // 2)))
+            start = 1
         # log, cos and sin stay libm's, per element: numpy's may differ in
         # the last bit across builds
         sqrt, log, cos, sin = math.sqrt, math.log, math.cos, math.sin
-        append = out.append
-        for u1, angle in zip((1.0 - u[0::2]).tolist(), (_TWO_PI * u[1::2]).tolist()):
-            r = sqrt(-2.0 * log(u1))  # u1 in (0, 1] keeps the log finite
-            append(r * cos(angle))
-            append(r * sin(angle))
-        if len(out) > n:
-            self._spare_normal = out.pop()
-        return np.array(out, dtype=np.float64)
+        while start < n:
+            u = _unit(self._u64s(2 * min(_BLOCK, (n - start + 1) // 2)))
+            block = []
+            append = block.append
+            for u1, angle in zip((1.0 - u[0::2]).tolist(), (_TWO_PI * u[1::2]).tolist()):
+                r = sqrt(-2.0 * log(u1))  # u1 in (0, 1] keeps the log finite
+                append(r * cos(angle))
+                append(r * sin(angle))
+            if start + len(block) > n:
+                self._spare_normal = block.pop()
+            out[start : start + len(block)] = block
+            start += len(block)
+        return out
 
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n) by rejection."""
@@ -253,23 +262,16 @@ def _jump_tables() -> list:
     """A**_LANE as 64 tables of 16 entries: table i < 32 maps the low nibble
     of state byte i, table 32 + i its high nibble, to its image under the jump.
 
-    A**_LANE is read off by stepping the 256 unit states _LANE times.
+    Each entry is read off by stepping its one-nibble state _LANE times.
     """
-    unit = np.zeros((4, 256), dtype=np.uint64)
-    bit = np.arange(256)
-    unit[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
-    _advance(unit, np.empty((_LANE, 256), dtype=np.uint64))
-    raw = unit.T.astype("<u8").tobytes()
-    columns = [int.from_bytes(raw[32 * i : 32 * i + 32], "little") for i in range(256)]
-    tables = []
-    for low in [8 * i for i in range(32)] + [8 * i + 4 for i in range(32)]:
-        table = [0] * 16
-        for v in range(1, 16):
-            # v with its lowest set bit cleared, plus that bit's column
-            lowest = (v & -v).bit_length() - 1
-            table[v] = table[v & (v - 1)] ^ columns[low + lowest]
-        tables.append(table)
-    return tables
+    table, v = np.divmod(np.arange(1024), 16)
+    states = np.zeros((1024, 32), dtype=np.uint8)
+    states[np.arange(1024), table % 32] = v << 4 * (table // 32)
+    state = states.view("<u8").T.astype(np.uint64, order="C")
+    _advance(state, np.empty((_LANE, 1024), dtype=np.uint64))
+    raw = state.T.astype("<u8").tobytes()
+    entries = [int.from_bytes(raw[32 * k : 32 * k + 32], "little") for k in range(1024)]
+    return [entries[16 * t : 16 * t + 16] for t in range(64)]
 
 
 def _unit(words: np.ndarray) -> np.ndarray:

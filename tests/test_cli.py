@@ -161,12 +161,20 @@ def test_report_corrupt_metrics_line(tmp_path, capsys):
          "wall_time_s must be finite, got inf"),
         (lambda s: {**s, "realized_ratio": 10**400},
          "realized_ratio must be finite, got 1000"),
+        (lambda s: {**s, "realized_ratio": -5},
+         "realized_ratio must lie in (0, 1], got -5"),
+        (lambda s: {**s, "realized_ratio": 0},
+         "realized_ratio must lie in (0, 1], got 0"),
+        (lambda s: {**s, "realized_ratio": 1.5},
+         "realized_ratio must lie in (0, 1], got 1.5"),
+        (lambda s: {**s, "wall_time_s": -2.0}, "wall_time_s must be >= 0, got -2.0"),
         (lambda s: {**s, "name": 3}, "name must be a string"),
         (lambda s: b"\xff" + json.dumps(s).encode(), "not UTF-8 text: 'utf-8' codec "
          "can't decode byte 0xff in position 0: invalid start byte"),
     ],
     ids=["missing-key", "not-object", "not-json", "ratio-str", "wall-null", "ratio-nan",
-         "wall-inf", "ratio-huge-int", "name-int", "not-utf8"],
+         "wall-inf", "ratio-huge-int", "ratio-negative", "ratio-zero",
+         "ratio-above-one", "wall-negative", "name-int", "not-utf8"],
 )
 def test_report_malformed_summary_names_the_file(tmp_path, capsys, edit, message):
     doc = base_config(tmp_path / "run")
@@ -278,6 +286,27 @@ def test_verify_rejects_a_bad_train_split_before_any_trial(tmp_path, capsys,
     assert ("runtime error: train split: targets contain non-finite values\n"
             in capsys.readouterr().err)
     assert not (tmp_path / "verify" / "regprobe.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["probe", "--p", "0.5"],
+                                     ["verify", "--p", "0.5"]],
+                         ids=["run", "probe", "verify"])
+def test_an_empty_train_split_fails_every_command_alike(tmp_path, capsys, command):
+    from oscisel.data import Dataset, save_osds
+
+    rng = np.random.default_rng(7)
+    for split, n in (("train", 0), ("test", 20)):
+        save_osds(Dataset(rng.normal(size=(n, 2)), rng.normal(size=n), split, 0),
+                  tmp_path / f"{split}.osds")
+    doc = base_config(
+        tmp_path / "out", model={"kind": "quadratic"},
+        dataset={"kind": "osds", "train": str(tmp_path / "train.osds"),
+                 "test": str(tmp_path / "test.osds")},
+    )
+    assert main([command[0], "--config", str(write_config(tmp_path, doc)),
+                 *command[1:]]) == 2
+    assert capsys.readouterr().err == "runtime error: train set is empty\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_subcommand(tmp_path, capsys):
@@ -447,10 +476,11 @@ def test_an_output_path_that_cannot_be_a_directory_fails_before_any_work(
               ["--p", "0.0"], ["--p", "0.5", "--trials", "0"]],
 )
 def test_verify_rejects_bad_arguments_before_writing(tmp_path, monkeypatch, flags):
-    def no_verify(*args, **kwargs):
-        raise AssertionError("verify_one_step_expansion called")
+    def no_loss(*args, **kwargs):
+        raise AssertionError("verify computed a loss")
 
-    monkeypatch.setattr(oscisel.cli, "verify_one_step_expansion", no_verify)
+    # the first computation inside verify_one_step_expansion
+    monkeypatch.setattr(oscisel.regprobe, "mean_loss", no_loss)
     # 100 rows: p = 0.005 selects floor(0.5) = 0 of them
     doc = base_config(
         tmp_path / "verify",

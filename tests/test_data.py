@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import struct
@@ -39,6 +40,15 @@ def test_two_moons_noiseless_arcs():
     ).max() < 1e-12
     assert np.all(upper[:, 1] >= -1e-12)
     assert np.all(lower[:, 1] <= 0.5 + 1e-12)
+
+
+def test_known_answer_two_moons_across_noise_blocks():
+    # 20,002 normals, drawn in three blocks; the digest was recorded when the
+    # noise came in 4,096-row chunks, and pins that blocking never moved a bit
+    ds = gen_two_moons(10_001, 0.3, 7)
+    assert hashlib.sha256(ds.inputs.tobytes() + ds.labels.tobytes()).hexdigest() == (
+        "d43928bbfb17ecf8b617623511a2ce3c134faf3d332d642ed3d735b806bb1108"
+    )
 
 
 def test_generators_deterministic():

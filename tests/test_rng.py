@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import oscisel.rng
 from oscisel.rng import PortableRNG, subseed
 
 
@@ -76,6 +77,41 @@ def test_known_answer_normals_carry_the_spare_across_calls():
     assert rng.next_u64() == 0xA1CAE0D779FD75D9
     seven = PortableRNG(11).normals(7)
     assert np.concatenate([first, second]).tobytes() == seven.tobytes()
+
+
+# normals per block of normals(): _BLOCK pairs
+NORMALS_BLOCK = 2 * oscisel.rng._BLOCK
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(1, NORMALS_BLOCK), (NORMALS_BLOCK - 1, NORMALS_BLOCK + 2),
+     (NORMALS_BLOCK + 1, NORMALS_BLOCK - 1), (NORMALS_BLOCK, 2 * NORMALS_BLOCK + 1),
+     (2 * NORMALS_BLOCK - 3, 2 * NORMALS_BLOCK + 5)],
+)
+def test_normals_split_anywhere_equal_one_draw(a, b):
+    # an odd a leaves a spare sine that the second call, which crosses a
+    # block, returns first
+    split, whole = PortableRNG(25), PortableRNG(25)
+    first, second = split.normals(a), split.normals(b)
+    assert (np.concatenate([first, second]).tobytes()
+            == whole.normals(a + b).tobytes())
+    assert split.next_u64() == whole.next_u64()
+
+
+def test_normals_draw_at_most_one_block_of_words_at_a_time(monkeypatch):
+    requests = []
+    draw = PortableRNG._u64s
+
+    def recording(self, n):
+        requests.append(n)
+        return draw(self, n)
+
+    monkeypatch.setattr(PortableRNG, "_u64s", recording)
+    n = 5 * NORMALS_BLOCK + 3
+    assert PortableRNG(26).normals(n).shape == (n,)
+    assert max(requests) <= NORMALS_BLOCK
+    assert sum(requests) == n + 1  # whole pairs: the last sine is the spare
 
 
 def test_known_answer_shuffle_array_and_list():
