@@ -217,8 +217,6 @@ def _cmd_verify(args) -> int:
     loaded = load_config(args.config)
     _check_out_dir(loaded.out_dir, "regprobe.jsonl")
     ratios = _parse_ratio_list(args.p)
-    if args.trials < 1:
-        raise ParameterDomainError(f"--trials must be >= 1, got {args.trials}")
     cfg = loaded.run
     train, _ = build_datasets(cfg)
     state = build_model(cfg, train)
@@ -330,19 +328,19 @@ def _load_run_dir(run_dir: Path) -> dict:
 
 
 def _cmd_report(args) -> int:
-    run_dirs = []
+    # resolved path -> run directory, in first-seen order, so a run that
+    # --in names twice (or names and contains) counts once
+    run_dirs: dict[Path, Path] = {}
     for d in args.in_dirs:
         d = Path(d)
-        if (d / "summary.json").exists():
-            run_dirs.append(d)
-        else:
-            run_dirs.extend(
-                sorted(p.parent for p in d.glob("*/summary.json"))
-            )
+        found = [d] if (d / "summary.json").exists() else sorted(
+            p.parent for p in d.glob("*/summary.json"))
+        for run_dir in found:
+            run_dirs.setdefault(run_dir.resolve(), run_dir)
     if not run_dirs:
         raise _UsageError(f"no completed runs under {args.in_dirs}")
     groups: dict[str, list[dict]] = {}
-    for run_dir in run_dirs:
+    for run_dir in run_dirs.values():
         row = _load_run_dir(run_dir)
         groups.setdefault(row["name"], []).append(row)
     buf = io.StringIO()

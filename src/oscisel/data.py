@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,9 +58,21 @@ class Dataset(Batch):
 
 
 def _check_scale(name: str, value: float) -> None:
-    """A noise scale must be finite and >= 0 (NaN fails the comparison)."""
-    if not 0.0 <= value < math.inf:
+    """A noise scale must be >= 0 and within float64 range (NaN fails the
+    comparison, and so do an infinity and an int past float64)."""
+    if not 0.0 <= value <= sys.float_info.max:
         raise ParameterDomainError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _scaled(name: str, scale: float, draws: np.ndarray) -> np.ndarray:
+    """draws times scale, in place; a product past float64 range is a
+    ParameterDomainError naming the key, not a dataset with infinite rows."""
+    with np.errstate(over="ignore"):
+        draws *= scale
+    if not np.isfinite(draws).all():
+        raise ParameterDomainError(f"{name}={scale} overflows float64 when it "
+                                   "scales the normal draws")
+    return draws
 
 
 def gen_blobs(
@@ -89,8 +102,8 @@ def gen_blobs(
     labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     # every row's d_in normals in one draw, rows in class order: the order
     # that docs/config.md pins
-    noise = PortableRNG(seed).normals(labels.size * d_in).reshape(-1, d_in)
-    return Dataset(means[labels] + spread * noise, labels, split, classes)
+    noise = _scaled("spread", spread, PortableRNG(seed).normals(labels.size * d_in))
+    return Dataset(means[labels] + noise.reshape(-1, d_in), labels, split, classes)
 
 
 def gen_two_moons(n: int, noise: float, seed: int, split: str = "train") -> Dataset:
@@ -108,8 +121,7 @@ def gen_two_moons(n: int, noise: float, seed: int, split: str = "train") -> Data
     if noise > 0.0:
         # row-major draws: x then y noise of row 0, then of row 1, ...; the
         # arcs are added onto them in place, so no second (n, 2) array is made
-        inputs = PortableRNG(seed).normals(2 * n).reshape(n, 2)
-        inputs *= noise
+        inputs = _scaled("noise", noise, PortableRNG(seed).normals(2 * n)).reshape(n, 2)
     else:
         inputs = np.zeros((n, 2))
     labels = np.zeros(n, dtype=np.int64)
@@ -137,7 +149,7 @@ def gen_gauss_linear(
     truth = rng.normals(d_in)
     targets = inputs @ truth
     if noise > 0.0:
-        targets = targets + noise * rng.normals(n)
+        targets = targets + _scaled("noise", noise, rng.normals(n))
     return Dataset(inputs, targets, split, 0)
 
 

@@ -6,7 +6,7 @@ closed-form backprop, double precision throughout; ``mean_gradient`` can also
 hand back the per-sample losses of its forward pass. Hessian-vector products
 use symmetric finite differences of the mean gradient, which is exact (up to
 rounding) for the quadratic model: one call takes any number of directions
-and evaluates the gradient at theta + r v and theta - r v for _HVP_CHUNK
+and evaluates the gradient at theta + r v and theta - r v for _STACK // 2
 directions at a time as one stack of thetas.
 
 One theta, which training and evaluation read, runs row-major: each layer's
@@ -18,7 +18,8 @@ product of its [W; b] block, which theta stores as one row-major
 (fan_in + 1, fan_out) array, with its input and an appended ones row; its
 gradient is one product too, written into the block's slot of the result.
 The two layouts agree to rounding, not bit for bit. _blocks is the one map
-of theta, a stack or a gradient onto layers, for every layout.
+of theta, a stack or a gradient onto layers, for every layout, and _STACK is
+the one bound on how many thetas a class-major call holds.
 """
 
 from __future__ import annotations
@@ -40,14 +41,16 @@ from .rng import PortableRNG
 
 _HVP_DELTA = 1e-5
 
-# Directions per stacked gradient call in hessian_vector_product. Each call
-# runs the stack theta ± r v, 2·chunk thetas. At MLP-32 the class-major
-# gradient's one large array is the hidden layer's input with its ones row,
-# (2·chunk, 33, N) float64: 1.1 MB at chunk 4 and N = 500, 4.2 MB at
-# N = 2000. One Tr(HC) at N = 500 took 116, 93, 70, 85 and 86 ms at chunk 1,
-# 2, 4, 8 and 16 (2-vCPU Xeon, OpenBLAS 1 thread, medians of 3 processes).
-# Each row's quotient is its own, so the chunk changes no value.
-_HVP_CHUNK = 4
+# Thetas per class-major call, set by memory: hessian_vector_product stacks
+# _STACK // 2 directions per _mean_gradient call (theta ± r v), and
+# regprobe.verify_one_step_expansion _STACK trials per _losses call. Keep it
+# even. At MLP-32 and N = 500 the gradient's largest array, (_STACK, 33, N)
+# float64, is 1.1 MB. One Tr(HC) at N = 500 took 116/93/70/85/86 ms at
+# 2/4/8/16/32 thetas; 4,000 trial losses at N = 600, 10 classes took
+# 350/300/261/235 ms at 2/4/8/16, but 16 cost 0.7-0.85 MB of peak memory for
+# no resolvable wall_ref gain (2-vCPU Xeon, OpenBLAS 1 thread, medians of 3-4
+# processes). Each theta's result is its own, so it changes no value.
+_STACK = 8
 
 
 # kind -> the keys a config's "model" object of that kind requires, besides
@@ -284,7 +287,7 @@ def _mean_gradient(
                 # the layer input is read for the last time here, so the delta
                 # backpropagated through the weight rows overwrites it: a
                 # second (K, width, m) array per call was page-faulted in anew
-                # on each call once it passed about 1 MB (see _HVP_CHUNK)
+                # on each call once it passed about 1 MB (see _STACK)
                 z = inputs[i][:, :-1]
                 gate = z > 0
                 delta = np.matmul(blocks[i][:, :-1], delta, out=z)
@@ -379,7 +382,7 @@ def hessian_vector_product(
     K = 0 included, one HVP per row. Each row gets its own step
     r = 1e-5 / max(||row||, 1), so a row whose norm is NaN or inf (a NaN, an
     infinity, or an overflow, which would make r 0 and the quotient 0/0) is
-    a NumericError. Each _HVP_CHUNK rows take one stacked _mean_gradient
+    a NumericError. Each _STACK // 2 rows take one stacked _mean_gradient
     call, class-major for classifiers, on theta + r v for each row, then
     theta - r v, and write their quotients into one (K, d) result.
     """
@@ -390,14 +393,16 @@ def hessian_vector_product(
     check_batch(state, batch)
     rows = v.reshape(-1, d)
     with np.errstate(over="ignore"):
-        norms = [float(np.linalg.norm(row)) for row in rows]
+        # the BLAS dot of np.linalg.norm(row) per row; the axis=1 norm sums
+        # pairwise, which moves Tr(HC) in its last bit
+        norms = np.sqrt(rows[:, None] @ rows[:, :, None])[:, 0]
+        r = _HVP_DELTA / np.maximum(norms, 1.0)
     if not np.isfinite(norms).all():
         raise NumericError("a direction holds NaN or inf, or its norm is "
                            "non-finite: it overflows float64")
-    r = np.array([[_HVP_DELTA / max(norm, 1.0)] for norm in norms])
     hv = np.empty(rows.shape)
-    for start in range(0, len(rows), _HVP_CHUNK):
-        chunk = slice(start, start + _HVP_CHUNK)
+    for start in range(0, len(rows), _STACK // 2):
+        chunk = slice(start, start + _STACK // 2)
         offsets = r[chunk] * rows[chunk]
         thetas = np.concatenate([state.theta + offsets, state.theta - offsets])
         g_plus, g_minus = np.split(_mean_gradient(state.arch, thetas, batch), 2)

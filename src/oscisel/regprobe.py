@@ -8,7 +8,7 @@ one-step prediction against Monte-Carlo subset draws. The verification takes
 a list of ratios: the loss, gradient, H grad, Tr(HC) and per-sample gradients
 are computed once for all of them, each trial's subset is drawn once and
 shared across ratios as nested prefixes, and the trials' stepped losses are
-evaluated a chunk of stacked thetas per forward pass, which runs class-major
+evaluated _STACK stacked thetas per forward pass, which runs class-major
 (scores of shape (K, classes, N); see models._losses). The prediction takes R
 at the ratio m/N that the trials realize with their m = floor(pN) rows.
 """
@@ -25,22 +25,13 @@ from .models import (
     Batch,
     ModelState,
     _losses,
+    _STACK,
     hessian_vector_product,
     mean_gradient,
     mean_loss,
     per_sample_gradients,
 )
 from .rng import subseed
-
-# Trials per stacked forward in verify_one_step_expansion, set by memory.
-# Each trial adds a class-major (classes, N) block of scores to the stack. At
-# N = 600 and 10 classes (oscibench's blobs-verify) the trial loop's 4,000
-# trial losses took 350, 300, 261 and 235 ms at 2, 4, 8 and 16 trials a
-# chunk (2-vCPU Xeon, OpenBLAS 1 thread, medians of 4 fresh processes), but
-# at 16 the peak resident memory of a benchmark run rose 0.7 to 0.85 MB over
-# 8 and its wall_ref did not fall beyond the runs' spread.
-_TRIAL_CHUNK = 8
-
 
 def lambda_factor(p: float) -> float:
     """Volumetric modulation (1-p)/p; strictly decreasing on (0, 1). A p so
@@ -155,8 +146,8 @@ def verify_one_step_expansion(
         grads = per_sample_gradients(state, batch)
 
         losses = np.empty((len(ratios), trials))
-        for start in range(0, trials, _TRIAL_CHUNK):
-            stop = min(start + _TRIAL_CHUNK, trials)
+        for start in range(0, trials, _STACK):
+            stop = min(start + _STACK, trials)
             # rank[t, j] is row j's position in the permutation of trial
             # start + t, so rank < m selects each trial's first m rows
             rank = np.empty((stop - start, n), dtype=np.intp)

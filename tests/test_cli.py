@@ -125,6 +125,25 @@ def test_report_single_and_group(tmp_path, capsys):
     assert float(fields[3]) == pytest.approx(np.std(accs, ddof=1), abs=1e-6)
 
 
+def test_report_counts_each_run_directory_once(tmp_path, capsys):
+    out = tmp_path / "out"
+    for seed in (1, 2):
+        doc = base_config(out / f"r{seed}", seed=seed)
+        main(["run", "--config", str(write_config(tmp_path, doc, f"c{seed}.json"))])
+
+    def report(*dirs):
+        capsys.readouterr()
+        assert main(["report", "--in", *map(str, dirs)]) == 0
+        return capsys.readouterr().out
+
+    both, one = report(out), report(out / "r1")
+    assert both.splitlines()[1].startswith("test-run,2,")
+    assert one.splitlines()[1].startswith("test-run,1,")
+    # a run named twice, or named and found under a directory, counts once
+    assert report(out, out / "r1") == report(out / "r1", out) == both
+    assert report(out / "r1", out / ".." / "out" / "r1") == one
+
+
 def test_report_mixed_schema_versions_error(tmp_path, capsys):
     doc = base_config(tmp_path / "run")
     main(["run", "--config", str(write_config(tmp_path, doc))])
@@ -698,14 +717,32 @@ def test_idx_limits_below_one_are_usage_errors(tmp_path, capsys, key, value):
     [["--kind", "gauss_linear", "--d-in", "0"],
      ["--kind", "gauss_linear", "--noise", "nan"],
      ["--kind", "two_moons", "--noise", "-0.1"],
-     ["--kind", "blobs", "--spread", "nan"]],
+     ["--kind", "blobs", "--spread", "nan"],
+     ["--kind", "two_moons", "--noise", "1e308"]],
     ids=["gauss_linear-d_in=0", "gauss_linear-noise=nan", "two_moons-noise<0",
-         "blobs-spread=nan"],
+         "blobs-spread=nan", "two_moons-noise-overflows-its-draws"],
 )
 def test_gen_data_rejects_out_of_domain_values(tmp_path, capsys, flags):
     assert main(["gen-data", "--out", str(tmp_path / "ds"), *flags]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize(
+    "dataset, message",
+    [({"kind": "blobs", "classes": 3, "per_class": 7, "spread": 10**400},
+      "spread must be finite and >= 0"),
+     ({"kind": "two_moons", "n_train": 120, "n_test": 60, "noise": 1e308},
+      "noise=1e+308 overflows float64")],
+    ids=["spread-int-past-float64", "noise-overflows-its-draws"],
+)
+def test_run_rejects_a_scale_past_float64(tmp_path, capsys, dataset, message):
+    doc = base_config(tmp_path / "run", dataset=dataset)
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(

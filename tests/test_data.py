@@ -105,7 +105,12 @@ def test_blobs_domain_errors():
         gen_two_moons(1, 0.1, 0)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), -0.1, float("inf")])
+@pytest.mark.parametrize(
+    "bad",
+    # an int that no float64 holds, as a JSON config may give, fails the
+    # range check rather than the float conversion inside the product
+    [float("nan"), -0.1, float("inf"), pytest.param(10**400, id="int-past-float64")],
+)
 def test_generators_reject_bad_noise_and_spread(bad):
     with pytest.raises(ParameterDomainError, match="noise"):
         gen_two_moons(10, bad, 0)
@@ -113,6 +118,17 @@ def test_generators_reject_bad_noise_and_spread(bad):
         gen_gauss_linear(10, 2, bad, 0)
     with pytest.raises(ParameterDomainError, match="spread"):
         gen_blobs(2, 5, 2, bad, 0)
+
+
+def test_generators_reject_a_scale_whose_draws_overflow():
+    # 1e308 is a float64, but its product with a normal beyond 1.8 in size is
+    # not, and 100 draws hold some; no overflow warning precedes the error
+    with pytest.raises(ParameterDomainError, match=r"^noise=1e\+308 overflows"):
+        gen_two_moons(50, 1e308, 0)
+    with pytest.raises(ParameterDomainError, match=r"^noise=1e\+308 overflows"):
+        gen_gauss_linear(100, 2, 1e308, 0)
+    with pytest.raises(ParameterDomainError, match=r"^spread=1e\+308 overflows"):
+        gen_blobs(2, 25, 2, 1e308, 0)
 
 
 def test_gauss_linear_rejects_zero_width():

@@ -157,8 +157,8 @@ def test_trace_hc_does_not_depend_on_the_hvp_chunk(kind, monkeypatch):
     # gradient call change no bit of the trace
     state, batch = trace_instances()[kind]
     traces = set()
-    for chunk in (1, 3, 4, 16):
-        monkeypatch.setattr(oscisel.models, "_HVP_CHUNK", chunk)
+    for stack in (2, 6, 8, 32):
+        monkeypatch.setattr(oscisel.models, "_STACK", stack)
         traces.add(gradient_covariance_trace_hc(state, batch))
     assert len(traces) == 1
 
@@ -325,6 +325,22 @@ def test_verify_ratio_list_equals_one_call_per_ratio(kind):
         reference = one_trial_at_a_time(state, batch, p, 0.05, 19, seed=3)
         np.testing.assert_allclose(one["trial_losses"], reference,
                                    rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+def test_verify_does_not_depend_on_the_stack_size(kind, monkeypatch):
+    # each trial's losses are their own rows of a stacked forward and each
+    # HVP direction's quotient is its own, so the thetas per class-major call
+    # change no bit of a report; 19 trials leave a partial last stack
+    state, batch = small_instances()[kind]
+    reports = set()
+    for stack in (2, 6, 8, 16, 40):
+        monkeypatch.setattr(oscisel.models, "_STACK", stack)
+        monkeypatch.setattr(oscisel.regprobe, "_STACK", stack)
+        rows = verify_one_step_expansion(state, batch, [0.25, 1.0], 0.05, 19, seed=3)
+        reports.add(tuple((row["trial_losses"].tobytes(), row["trace_hc"],
+                           row["prediction"]) for row in rows))
+    assert len(reports) == 1
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
