@@ -19,8 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SCHEMA_VERSION, SPEC_KEYS, is_number, load_config
-from .data import DATASETS, datasets_from_spec, save_osds
+from .config import (
+    SCHEMA_VERSION, SPEC_KEYS, is_number, json_object, load_config, read_text,
+)
+from .data import DATASETS, datasets_from_spec, is_finite, save_osds
 from .errors import ConfigError, FormatError, NumericError, ParameterDomainError
 from .regprobe import (
     estimate_r,
@@ -262,21 +264,9 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
-
-
 def _load_run_dir(run_dir: Path) -> dict:
     path = run_dir / "summary.json"
-    try:
-        summary = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: parse error: {exc}") from exc
-    if not isinstance(summary, dict):
-        raise FormatError(f"{path}: not a JSON object")
+    summary = json_object(read_text(path, FormatError), path, FormatError)
     if summary.get("schema_version") != SCHEMA_VERSION:
         raise FormatError(
             f"{path}: schema_version {summary.get('schema_version')!r} "
@@ -288,7 +278,7 @@ def _load_run_dir(run_dir: Path) -> dict:
         value = summary.get(key, 0.0)
         if not is_number(value):
             raise FormatError(f"{path}: {key} must be a number, got {value!r}")
-        if not abs(value) <= sys.float_info.max:  # NaN, inf or an int past float
+        if not is_finite(value):
             raise FormatError(f"{path}: {key} must be finite, got {value!r}")
     if not 0.0 < summary["realized_ratio"] <= 1.0:
         raise FormatError(f"{path}: realized_ratio must lie in (0, 1], "
@@ -300,15 +290,10 @@ def _load_run_dir(run_dir: Path) -> dict:
         raise FormatError(f"{path}: name must be a string, got {summary['name']!r}")
     final_acc = None
     path = run_dir / "metrics.jsonl"
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path, FormatError).split("\n"), start=1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{lineno}: parse error: {exc}") from exc
-        if not isinstance(record, dict):
-            raise FormatError(f"{path}:{lineno}: not a JSON object")
+        record = json_object(line, f"{path}:{lineno}", FormatError)
         acc = record.get("test_accuracy")
         if acc is None:
             continue

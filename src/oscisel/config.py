@@ -16,13 +16,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import DATASETS
+from .data import DATASETS, is_finite
 from .errors import ConfigError, ParameterDomainError
 from .models import MODELS
 from .schedule import ScheduleParams, constant_params, derive_params
@@ -128,13 +127,7 @@ class RunConfig:
             raise ParameterDomainError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ParameterDomainError("batch_size must be >= 1")
-        # NaN and inf fail, and so does a value beyond float64's range: an
-        # int, which Python compares exactly, or a NumPy longdouble. A finite
-        # float32 overflows the bound to inf, which it still lies below
-        with np.errstate(over="ignore"):
-            lr = self.learning_rate
-            finite = 0.0 < lr < math.inf and lr <= sys.float_info.max
-        if not finite:
+        if not (self.learning_rate > 0.0 and is_finite(self.learning_rate)):
             raise ParameterDomainError("learning_rate must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterDomainError("momentum must be in [0, 1)")
@@ -202,19 +195,31 @@ def parse_config(doc: dict) -> LoadedConfig:
     return LoadedConfig(run=run, out_dir=out_dir, name=name)
 
 
-def load_config(path) -> LoadedConfig:
-    """The config file at path, parsed. A path that names a directory or
-    passes through a file, text that is not UTF-8 and invalid JSON are each
-    a ConfigError that names the file; a missing file stays a
-    FileNotFoundError."""
-    path = Path(path)
+def read_text(path, error=ConfigError) -> str:
+    """The UTF-8 text of the file at path. A path that names a directory or
+    passes through a file, and text that is not UTF-8, are each an error of
+    type error that names the file; a missing file stays a FileNotFoundError."""
     try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+        return Path(path).read_text(encoding="utf-8")
     except (IsADirectoryError, NotADirectoryError) as exc:
-        raise ConfigError(f"{path}: {exc.strerror}") from None
+        raise error(f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_config(doc)
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def json_object(text: str, where, error=ConfigError) -> dict:
+    """text parsed as a JSON object. Text that is not JSON (an integer past
+    Python's digit limit, or nesting past its recursion limit, included) or a
+    document that is not an object is an error of type error naming where."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise error(f"{where}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{where}: not a JSON object")
+    return doc
+
+
+def load_config(path) -> LoadedConfig:
+    """The config file at path, read by read_text and json_object, then parsed."""
+    return parse_config(json_object(read_text(path), path))

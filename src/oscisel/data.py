@@ -57,10 +57,16 @@ class Dataset(Batch):
         return self.labels.dtype.kind == "i"
 
 
+def is_finite(value) -> bool:
+    """value, a number of any NumPy width, is finite within float64's range:
+    NaN, an infinity, and an int or a longdouble past float64 are not."""
+    with np.errstate(over="ignore"):  # a float32 overflows the bound to inf
+        return bool(abs(value) < math.inf and abs(value) <= sys.float_info.max)
+
+
 def _check_scale(name: str, value: float) -> None:
-    """A noise scale must be >= 0 and within float64 range (NaN fails the
-    comparison, and so do an infinity and an int past float64)."""
-    if not 0.0 <= value <= sys.float_info.max:
+    """A noise scale must be >= 0 and finite (see is_finite)."""
+    if not (value >= 0.0 and is_finite(value)):
         raise ParameterDomainError(f"{name} must be finite and >= 0, got {value}")
 
 

@@ -19,10 +19,12 @@ images, one table per 4 bits of the state. The tables are made by running
 as constants, so a jump can only ever agree with the step it skips over. The
 output scrambler, which reads one state word, runs afterwards on the whole
 block in wrapping uint64 arithmetic. ``normals`` and ``belows`` draw in blocks
-of ``_BLOCK`` pairs or words, which bounds their temporaries. How a draw is
-cut into blocks or lanes never changes a word of the stream; tests/test_rng.py
-pins known answers of every method, with draws long enough to take the lanes
-and to cross a block, so it cannot drift.
+of at most ``_BLOCK`` pairs or words, which bounds their temporaries;
+``normals`` cuts a draw into blocks of even size, so that no block of a long
+draw is too short for lanes. How a draw is cut into blocks or lanes never
+changes a word of the stream; tests/test_rng.py pins known answers of every
+method, with draws long enough to take the lanes and to cross a block, so it
+cannot drift.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _TWO_PI = 2.0 * math.pi
-# words per block in belows(), pairs per block in normals(): a block bounds a
-# draw's temporaries, and how a draw is cut into blocks never changes the stream
+# words per block in belows(), the most pairs per block in normals(): a block
+# bounds a draw's temporaries; how a draw is cut never changes the stream
 _BLOCK = 4096
 # words per lane, and the shortest draw cut into lanes (see CHANGES.md for the
 # timings that chose them)
@@ -141,7 +143,9 @@ class PortableRNG:
         # the last bit across builds
         sqrt, log, cos, sin = math.sqrt, math.log, math.cos, math.sin
         while start < n:
-            u = _unit(self._u64s(2 * min(_BLOCK, (n - start + 1) // 2)))
+            pairs = (n - start + 1) // 2
+            blocks = -(-pairs // _BLOCK)  # the pairs left, cut into even blocks
+            u = _unit(self._u64s(2 * -(-pairs // blocks)))
             block = []
             append = block.append
             for u1, angle in zip((1.0 - u[0::2]).tolist(), (_TWO_PI * u[1::2]).tolist()):

@@ -18,6 +18,14 @@ from oscisel.errors import ConfigError, NumericError
 from oscisel.rng import subseed
 
 
+# a JSON integer past Python's 4,300-digit limit for str-to-int conversion,
+# and the error json.loads raises on it
+HUGE_INT = "1" + "0" * 5000
+DIGIT_LIMIT = ("invalid JSON: Exceeds the limit (4300 digits) for integer string "
+               "conversion: value has 5001 digits; use sys.set_int_max_str_digits() "
+               "to increase the limit")
+
+
 def base_config(out_dir, **overrides):
     doc = {
         "schema_version": "v1",
@@ -171,7 +179,9 @@ def test_report_corrupt_metrics_line(tmp_path, capsys):
         (lambda s: {k: v for k, v in s.items() if k != "realized_ratio"},
          "missing key 'realized_ratio'"),
         (lambda s: [s], "not a JSON object"),
-        (lambda s: "{not json", "parse error"),
+        (lambda s: "{not json", "invalid JSON: Expecting property name"),
+        (lambda s: '{"realized_ratio": ' + HUGE_INT + "}", DIGIT_LIMIT),
+        (lambda s: None, "Is a directory"),
         (lambda s: {**s, "realized_ratio": "0.3"}, "realized_ratio must be a number"),
         (lambda s: {**s, "wall_time_s": None}, "wall_time_s must be a number"),
         (lambda s: {**s, "realized_ratio": float("nan")},
@@ -191,7 +201,8 @@ def test_report_corrupt_metrics_line(tmp_path, capsys):
         (lambda s: b"\xff" + json.dumps(s).encode(), "not UTF-8 text: 'utf-8' codec "
          "can't decode byte 0xff in position 0: invalid start byte"),
     ],
-    ids=["missing-key", "not-object", "not-json", "ratio-str", "wall-null", "ratio-nan",
+    ids=["missing-key", "not-object", "not-json", "int-past-digit-limit", "directory",
+         "ratio-str", "wall-null", "ratio-nan",
          "wall-inf", "ratio-huge-int", "ratio-negative", "ratio-zero",
          "ratio-above-one", "wall-negative", "name-int", "not-utf8"],
 )
@@ -200,7 +211,10 @@ def test_report_malformed_summary_names_the_file(tmp_path, capsys, edit, message
     main(["run", "--config", str(write_config(tmp_path, doc))])
     summary_path = tmp_path / "run" / "summary.json"
     edited = edit(json.loads(summary_path.read_text()))
-    if isinstance(edited, bytes):
+    if edited is None:
+        summary_path.unlink()
+        summary_path.mkdir()
+    elif isinstance(edited, bytes):
         summary_path.write_bytes(edited)
     else:
         text = edited if isinstance(edited, str) else json.dumps(edited)
@@ -879,13 +893,18 @@ def test_a_one_class_osds_header_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, message",
-    [("[1, 2]", "config root must be an object"),
+    [("[1, 2]", "{path}: not a JSON object"),
      ("{not json", "{path}: invalid JSON: Expecting property name enclosed in "
                    "double quotes: line 1 column 2 (char 1)"),
+     ('{"epochs": ' + HUGE_INT + "}", "{path}: " + DIGIT_LIMIT),
+     ('{"epochs": ' + "[" * 100_000,
+      "{path}: invalid JSON: maximum recursion depth exceeded while decoding a "
+      "JSON array from a unicode string"),
      (None, "{path}: Is a directory"),
      (b'{"name": "\xff"}', "{path}: not UTF-8 text: 'utf-8' codec can't decode byte "
                            "0xff in position 10: invalid start byte")],
-    ids=["not-object", "not-json", "directory", "not-utf8"],
+    ids=["not-object", "not-json", "int-past-digit-limit", "nested-past-recursion-limit",
+         "directory", "not-utf8"],
 )
 def test_a_malformed_config_file_is_a_usage_error(tmp_path, capsys, text, message):
     # text is the file's text, its bytes, or None for a directory
@@ -1079,8 +1098,10 @@ def test_a_verify_record_that_cannot_be_written_leaves_no_file(tmp_path,
      ('{"test_accuracy": NaN}', "test_accuracy must lie in [0, 1], got nan"),
      ('{"test_accuracy": Infinity}', "test_accuracy must lie in [0, 1], got inf"),
      ('{"test_accuracy": 7.5}', "test_accuracy must lie in [0, 1], got 7.5"),
-     ('{"test_accuracy": -0.1}', "test_accuracy must lie in [0, 1], got -0.1")],
-    ids=["list", "string", "bool", "nan", "inf", "above-one", "below-zero"],
+     ('{"test_accuracy": -0.1}', "test_accuracy must lie in [0, 1], got -0.1"),
+     ('{"test_accuracy": ' + HUGE_INT + "}", DIGIT_LIMIT)],
+    ids=["list", "string", "bool", "nan", "inf", "above-one", "below-zero",
+         "int-past-digit-limit"],
 )
 def test_report_rejects_a_malformed_metrics_record(tmp_path, capsys, line, message):
     run_dir = tmp_path / "run"

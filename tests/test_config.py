@@ -9,6 +9,7 @@ import pytest
 
 from oscisel.config import KEY_TYPES, SPEC_KEYS, RunConfig
 from oscisel.errors import ConfigError, ParameterDomainError
+from oscisel.trainer import build_datasets
 
 BASE = dict(
     dataset={"kind": "two_moons", "n_train": 40, "n_test": 20, "noise": 0.1},
@@ -72,11 +73,17 @@ def test_a_schedule_out_of_its_domain_fails_when_the_config_is_made(overrides,
 @pytest.mark.parametrize(
     "overrides",
     [{"learning_rate": np.float32(0.1)}, {"learning_rate": np.int64(1)},
-     {"epochs": np.int64(2)}],
-    ids=["learning_rate=float32", "learning_rate=int64", "epochs=int64"],
+     {"epochs": np.int64(2)},
+     {"dataset": {**BASE["dataset"], "noise": np.float32(0.2)}},
+     {"dataset": {"kind": "blobs", "classes": 2, "per_class": 20, "d_in": 2,
+                  "spread": np.float32(0.2)}}],
+    ids=["learning_rate=float32", "learning_rate=int64", "epochs=int64",
+         "noise=float32", "spread=float32"],
 )
 def test_numpy_scalars_are_numbers(overrides):
-    RunConfig(**{**BASE, **overrides})
+    # the data is built too, which checks noise and spread
+    train, _ = build_datasets(RunConfig(**{**BASE, **overrides}))
+    assert np.isfinite(train.inputs).all()
 
 
 @pytest.mark.parametrize(

@@ -109,7 +109,8 @@ def test_blobs_domain_errors():
     "bad",
     # an int that no float64 holds, as a JSON config may give, fails the
     # range check rather than the float conversion inside the product
-    [float("nan"), -0.1, float("inf"), pytest.param(10**400, id="int-past-float64")],
+    [float("nan"), -0.1, float("inf"), pytest.param(10**400, id="int-past-float64"),
+     pytest.param(np.float32("inf"), id="float32-inf")],
 )
 def test_generators_reject_bad_noise_and_spread(bad):
     with pytest.raises(ParameterDomainError, match="noise"):
@@ -118,6 +119,22 @@ def test_generators_reject_bad_noise_and_spread(bad):
         gen_gauss_linear(10, 2, bad, 0)
     with pytest.raises(ParameterDomainError, match="spread"):
         gen_blobs(2, 5, 2, bad, 0)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [lambda scale: gen_two_moons(10, scale, 0),
+     lambda scale: gen_gauss_linear(10, 2, scale, 0),
+     lambda scale: gen_blobs(2, 5, 2, scale, 0)],
+    ids=["two_moons-noise", "gauss_linear-noise", "blobs-spread"],
+)
+def test_a_float32_scale_is_the_float64_of_its_value(generate):
+    # checked against float64's range with no overflow warning, and the
+    # draws are scaled by its value as a float64
+    scale = np.float32(0.2)
+    narrow, wide = generate(scale), generate(float(scale))
+    assert narrow.inputs.tobytes() == wide.inputs.tobytes()
+    assert narrow.labels.tobytes() == wide.labels.tobytes()
 
 
 def test_generators_reject_a_scale_whose_draws_overflow():

@@ -112,6 +112,13 @@ def test_normals_draw_at_most_one_block_of_words_at_a_time(monkeypatch):
     assert PortableRNG(26).normals(n).shape == (n,)
     assert max(requests) <= NORMALS_BLOCK
     assert sum(requests) == n + 1  # whole pairs: the last sine is the spare
+    # blobs-verify's training draw: blocks of even size keep every one long
+    # enough for lanes, where one full block would leave a 1,408-word tail
+    requests.clear()
+    PortableRNG(26).normals(9600)
+    assert max(requests) <= NORMALS_BLOCK
+    assert min(requests) >= oscisel.rng._LANE_MIN
+    assert sum(requests) == 9600
 
 
 def test_known_answer_shuffle_array_and_list():
