@@ -1,11 +1,16 @@
 """Portable deterministic random streams.
 
-Dataset generation promises bit-identical output for a given seed regardless
-of platform or language, so the generator algorithm is pinned rather than
-delegated to numpy: a SplitMix64-expanded seed feeds xoshiro256**, and normal
-variates come from the Box-Muller transform. Every module stream is derived
-from the single run seed via ``subseed(seed, label)``; the labels in use are
-documented in docs/config.md.
+Dataset generation promises reproducible output for a given seed, so the
+generator algorithm is pinned rather than delegated to numpy: a
+SplitMix64-expanded seed feeds xoshiro256**, and normal variates come from
+the Box-Muller transform. The words, ``uniforms``, ``below``/``belows``,
+``shuffle`` and sampling use only integer and correctly rounded arithmetic,
+so they are the same on every platform. ``normals`` calls libm's ``log``,
+``cos`` and ``sin``, and glibc picks an FMA or a non-FMA variant of these by
+CPU, so normals (and every dataset built from them) are reproducible within
+one numeric environment. Every module stream is derived from the single run
+seed via ``subseed(seed, label)``; the labels in use are documented in
+docs/config.md.
 
 Words are drawn in blocks by ``_u64s``. A short block runs the state
 recurrence one word at a time in Python ints held in locals. A block of at
@@ -14,23 +19,25 @@ lane k starts ``k * _LANE`` steps ahead, and all lanes run the recurrence
 together, one NumPy uint64 step per word of a lane (``_advance``). The lane
 starts come from the jump ``A**_LANE``: xoshiro256** is linear over GF(2), so
 ``_LANE`` steps are one 256x256 bit matrix A**_LANE, applied by tables of its
-images, one table per 4 bits of the state. The tables are made by running
-``_advance`` on the 1,024 states that each hold one nibble, not written down
-as constants, so a jump can only ever agree with the step it skips over. The
-output scrambler, which reads one state word, runs afterwards on the whole
-block in wrapping uint64 arithmetic. ``normals`` and ``belows`` draw in blocks
-of at most ``_BLOCK`` pairs or words, which bounds their temporaries;
-``normals`` cuts a draw into blocks of even size, so that no block of a long
-draw is too short for lanes. How a draw is cut into blocks or lanes never
-changes a word of the stream; tests/test_rng.py pins known answers of every
-method, with draws long enough to take the lanes and to cross a block, so it
-cannot drift.
+images, one table of 256 entries per byte of the state, so a jump is 32
+big-int XORs. Each byte's entry is the XOR of the images of its two nibbles,
+and those are made by running ``_advance`` on the 1,024 states that each
+hold one nibble, not written down as constants, so a jump can only ever
+agree with the step it skips over. The output scrambler, which reads one
+state word, runs afterwards on the whole block in wrapping uint64
+arithmetic. ``normals`` and ``belows`` draw in blocks of at most ``_BLOCK``
+pairs or words, which bounds their temporaries; ``normals`` cuts a draw into
+blocks of even size, so that no block of a long draw is too short for lanes.
+How a draw is cut into blocks or lanes never changes a word of the stream;
+tests/test_rng.py pins known answers of every method, with draws long
+enough to take the lanes and to cross a block, so it cannot drift.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import operator
 
@@ -39,8 +46,10 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _TWO_PI = 2.0 * math.pi
 # words per block in belows(), the most pairs per block in normals(): a block
-# bounds a draw's temporaries; how a draw is cut never changes the stream
-_BLOCK = 4096
+# bounds a draw's temporaries (a normals block holds a few arrays of _BLOCK
+# floats), and a longer one takes fewer _advance rows per word; how a draw is
+# cut never changes the stream
+_BLOCK = 16384
 # words per lane, and the shortest draw cut into lanes (see CHANGES.md for the
 # timings that chose them)
 _LANE = 64
@@ -76,14 +85,17 @@ class PortableRNG:
     def _u64s(self, n: int) -> np.ndarray:
         """The next n words of the stream, as a uint64 array."""
         lanes = n // _LANE if n >= _LANE_MIN else 0
+        x = np.empty(n, dtype=np.uint64)
         if lanes:
-            head = self._lane_states(lanes)
-        x = np.array(self._states(n - lanes * _LANE), dtype=np.uint64)
-        if lanes:
-            x = np.concatenate((head, x))
-        # rotl(s1 * 5, 7) * 9, modulo 2**64
+            x[: lanes * _LANE].reshape(lanes, _LANE)[...] = self._lane_states(lanes).T
+        x[lanes * _LANE :] = self._states(n - lanes * _LANE)
+        # rotl(s1 * 5, 7) * 9, modulo 2**64, in place but for one temporary
         x *= np.uint64(5)
-        return (x << np.uint64(7) | x >> np.uint64(57)) * np.uint64(9)
+        high = x >> np.uint64(57)
+        x <<= np.uint64(7)
+        x |= high
+        x *= np.uint64(9)
+        return x
 
     def _states(self, n: int) -> list:
         """The state word s1 that each of the next n outputs is scrambled
@@ -105,7 +117,8 @@ class PortableRNG:
         return s1s
 
     def _lane_states(self, lanes: int) -> np.ndarray:
-        """_states(lanes * _LANE) as a uint64 array, drawn in lanes."""
+        """_states(lanes * _LANE) as a (_LANE, lanes) uint64 array, drawn in
+        lanes: column k holds lane k."""
         start = b"".join(word.to_bytes(8, "little") for word in self._s)
         starts = [start]
         for _ in range(lanes - 1):
@@ -117,13 +130,14 @@ class PortableRNG:
         _advance(state, s1s)
         # the last lane ends lanes * _LANE steps on
         self._s = state[:, -1].tolist()
-        return s1s.T.ravel()
+        return s1s
 
     def next_u64(self) -> int:
         return int(self._u64s(1)[0])
 
     def uniforms(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """n uniform draws low + (high - low) * u, u a unit draw, on the block."""
+        _check_count(n)
         return low + (high - low) * _unit(self._u64s(n))
 
     def normals(self, n: int) -> np.ndarray:
@@ -133,35 +147,38 @@ class PortableRNG:
         r = sqrt(-2*log(1 - u1)). When n leaves a sine unused it becomes the
         spare, which the next normals() call returns first.
         """
+        _check_count(n)
         out = np.empty(n)
         start = 0
         if n > 0 and self._spare_normal is not None:
             out[0] = self._spare_normal
             self._spare_normal = None
             start = 1
-        # log, cos and sin stay libm's, per element: numpy's may differ in
-        # the last bit across builds
-        sqrt, log, cos, sin = math.sqrt, math.log, math.cos, math.sin
+        # log, cos and sin stay libm's, called per element: numpy's may differ
+        # in the last bit across builds; sqrt and * are correctly rounded in
+        # both, so taking them on a whole block gives the per-pair bits
+        log, cos, sin = math.log, math.cos, math.sin
         while start < n:
             pairs = (n - start + 1) // 2
             blocks = -(-pairs // _BLOCK)  # the pairs left, cut into even blocks
-            u = _unit(self._u64s(2 * -(-pairs // blocks)))
-            block = []
-            append = block.append
-            for u1, angle in zip((1.0 - u[0::2]).tolist(), (_TWO_PI * u[1::2]).tolist()):
-                r = sqrt(-2.0 * log(u1))  # u1 in (0, 1] keeps the log finite
-                append(r * cos(angle))
-                append(r * sin(angle))
-            if start + len(block) > n:
-                self._spare_normal = block.pop()
-            out[start : start + len(block)] = block
-            start += len(block)
+            k = -(-pairs // blocks)
+            u = _unit(self._u64s(2 * k))
+            # 1 - u1 in (0, 1] keeps the log finite
+            r = np.sqrt(-2.0 * np.fromiter(map(log, (1.0 - u[0::2]).tolist()), float, k))
+            angle = (_TWO_PI * u[1::2]).tolist()
+            stop = start + 2 * k
+            np.multiply(r, np.fromiter(map(cos, angle), float, k), out=out[start:stop:2])
+            sines = r * np.fromiter(map(sin, angle), float, k)
+            if stop > n:
+                self._spare_normal = float(sines[-1])
+                sines = sines[:-1]
+            out[start + 1 : stop : 2] = sines
+            start = stop
         return out
 
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n) by rejection."""
-        if n <= 0:
-            raise ValueError(f"below() needs n >= 1, got {n}")
+        _check_bound(n)
         limit = _MASK64 - (_MASK64 + 1) % n
         while True:
             x = self.next_u64()
@@ -169,30 +186,38 @@ class PortableRNG:
                 return x % n
 
     def belows(self, bounds):
-        """Yield below(n) for each n in the sequence bounds, in order.
+        """An iterator of below(n) for each n in the sequence bounds, in order.
 
-        The same stream as below() in a loop, with the words drawn in blocks,
-        so the stream is only in step once the iterator is exhausted.
+        The same stream as below() in a loop, with the words drawn in blocks
+        of _BLOCK, each block's draws made as one list when the iterator
+        reaches it, so the stream is only in step once the iterator is
+        exhausted.
         """
-        for start in range(0, len(bounds), _BLOCK):
-            block = bounds[start : start + _BLOCK]
-            # np.array would step through a range one Python int at a time
-            if isinstance(block, range):
-                ns = np.arange(block.start, block.stop, block.step)
-            else:
-                ns = np.array(block)
-            if ns.min() <= 0:
-                raise ValueError(f"below() needs n >= 1, got {ns.min()}")
-            state = self._s
-            words = self._u64s(len(block))
-            # below(n) rejects only words above 2**64 - 1 - 2**64 % n, which
-            # is at least 2**64 - n; a block with no word that high needs no
-            # test (each word reaches it with odds of n / 2**64)
-            if int(words.max()) < _MASK64 + 1 - int(ns.max()):
-                yield from (words % ns.astype(np.uint64)).tolist()
-            else:
-                self._s = state
-                yield from (self.below(n) for n in block)
+        blocks = (bounds[i : i + _BLOCK] for i in range(0, len(bounds), _BLOCK))
+        return itertools.chain.from_iterable(map(self._belows_block, blocks))
+
+    def _belows_block(self, block) -> list:
+        # np.array would step through a range one Python int at a time
+        if isinstance(block, range):
+            ns = np.arange(block.start, block.stop, block.step)
+        else:
+            ns = np.array(block)
+        if ns.dtype.kind not in "iu":
+            # a bound of 2**64 or more, or one past int64 beside others that
+            # NumPy then rounds to float64: below() in a loop
+            for n in block:
+                _check_bound(n)
+            return [self.below(n) for n in block]
+        _check_bound(ns.min())
+        state = self._s
+        words = self._u64s(len(block))
+        # below(n) rejects only words above 2**64 - 1 - 2**64 % n, which is
+        # at least 2**64 - n; a block with no word that high needs no test
+        # (each word reaches it with odds of n / 2**64)
+        if int(words.max()) < _MASK64 + 1 - int(ns.max()):
+            return (words % ns.astype(np.uint64)).tolist()
+        self._s = state
+        return [self.below(n) for n in block]
 
     def shuffle(self, items) -> None:
         """In-place Fisher-Yates from the last index: swap i with below(i + 1).
@@ -248,25 +273,21 @@ def _advance(state: np.ndarray, s1s: np.ndarray) -> None:
         xor(s23, shifted, out=s23)
 
 
-# bytes.translate tables splitting a byte into its low and its high nibble
-_LOW_NIBBLE = bytes(b & 15 for b in range(256))
-_HIGH_NIBBLE = bytes(b >> 4 for b in range(256))
-
-
 def _jump(state: bytes) -> bytes:
     """The 32-byte little-endian state (s0 first) _LANE steps on: the XOR of
-    one entry of each of the 64 tables of A**_LANE, picked by a nibble."""
-    nibbles = state.translate(_LOW_NIBBLE) + state.translate(_HIGH_NIBBLE)
-    entries = map(operator.getitem, _jump_tables(), nibbles)
+    one entry of each of the 32 tables of A**_LANE, picked by a state byte."""
+    entries = map(operator.getitem, _jump_tables(), state)
     return functools.reduce(operator.xor, entries).to_bytes(32, "little")
 
 
 @functools.cache
 def _jump_tables() -> list:
-    """A**_LANE as 64 tables of 16 entries: table i < 32 maps the low nibble
-    of state byte i, table 32 + i its high nibble, to its image under the jump.
+    """A**_LANE as 32 tables of 256 entries: table i maps byte i of the state
+    to its image under the jump.
 
-    Each entry is read off by stepping its one-nibble state _LANE times.
+    An entry is the XOR of the images of its byte's low and high nibble, and
+    each nibble's image is read off by stepping its one-nibble state _LANE
+    times.
     """
     table, v = np.divmod(np.arange(1024), 16)
     states = np.zeros((1024, 32), dtype=np.uint8)
@@ -274,8 +295,23 @@ def _jump_tables() -> list:
     state = states.view("<u8").T.astype(np.uint64, order="C")
     _advance(state, np.empty((_LANE, 1024), dtype=np.uint64))
     raw = state.T.astype("<u8").tobytes()
-    entries = [int.from_bytes(raw[32 * k : 32 * k + 32], "little") for k in range(1024)]
-    return [entries[16 * t : 16 * t + 16] for t in range(64)]
+    images = [int.from_bytes(raw[32 * k : 32 * k + 32], "little") for k in range(1024)]
+    # images[16 * i + v] holds v in the low nibble of byte i, and
+    # images[512 + 16 * i + v] holds it in the high nibble
+    return [
+        [images[16 * i + (b & 15)] ^ images[512 + 16 * i + (b >> 4)] for b in range(256)]
+        for i in range(32)
+    ]
+
+
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"cannot draw a negative count of values, got {n}")
+
+
+def _check_bound(n: int) -> None:
+    if not 1 <= n <= _MASK64 + 1:
+        raise ValueError(f"below() needs 1 <= n <= 2**64, got {n}")
 
 
 def _unit(words: np.ndarray) -> np.ndarray:

@@ -4,10 +4,11 @@ Each test states an invariant for every input Hypothesis can build, not only
 for grid points: prefix budget safety of the schedule under the subset floor,
 soundness of the budget ledger, the bounds of the subset size, the
 hard-mining order, the OSDS file round trip, a portable stream that does
-not depend on how its words are drawn, the one-step identity that the
-implicit regularizer rests on, stacked model kernels that compute what
-one call per theta does, and whole training runs that are bit-reproducible,
-budget-safe and write the loss memory only where they selected.
+not depend on how its words are drawn, a lane jump that equals its single
+steps, the one-step identity that the implicit regularizer rests on,
+stacked model kernels that compute what one call per theta does, and whole
+training runs that are bit-reproducible, budget-safe and write the loss
+memory only where they selected.
 """
 
 import itertools
@@ -42,7 +43,7 @@ from oscisel.models import (  # noqa: E402
     per_sample_gradients,
 )
 from oscisel.regprobe import verify_one_step_expansion  # noqa: E402
-from oscisel.rng import _LANE, _LANE_MIN, PortableRNG  # noqa: E402
+from oscisel.rng import _LANE, _LANE_MIN, PortableRNG, _jump  # noqa: E402
 from oscisel.schedule import RatioTrajectory, derive_params  # noqa: E402
 from oscisel.selection import (  # noqa: E402
     LossMemory,
@@ -196,6 +197,15 @@ def test_stream_does_not_depend_on_how_words_are_drawn(a, b, seed):
     parts = np.concatenate([split.uniforms(a), split.uniforms(b)])
     assert parts.tobytes() == whole.uniforms(a + b).tobytes()
     assert split.next_u64() == whole.next_u64()
+
+
+@given(state=st.binary(min_size=32, max_size=32))
+def test_jump_is_lane_single_steps(state):
+    rng = PortableRNG(0)
+    rng._s = [int.from_bytes(state[i : i + 8], "little") for i in range(0, 32, 8)]
+    rng._states(_LANE)
+    jumped = _jump(state)
+    assert [int.from_bytes(jumped[i : i + 8], "little") for i in range(0, 32, 8)] == rng._s
 
 
 @given(

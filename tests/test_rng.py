@@ -85,13 +85,16 @@ NORMALS_BLOCK = 2 * oscisel.rng._BLOCK
 
 @pytest.mark.parametrize(
     "a, b",
-    [(1, NORMALS_BLOCK), (NORMALS_BLOCK - 1, NORMALS_BLOCK + 2),
+    # splits inside one block, on and around lane and half-block counts
+    [(1, 8192), (8191, 8194), (8193, 8191), (8192, 16385), (16381, 16389)]
+    # splits that cross one and two blocks
+    + [(1, NORMALS_BLOCK), (NORMALS_BLOCK - 1, NORMALS_BLOCK + 2),
      (NORMALS_BLOCK + 1, NORMALS_BLOCK - 1), (NORMALS_BLOCK, 2 * NORMALS_BLOCK + 1),
      (2 * NORMALS_BLOCK - 3, 2 * NORMALS_BLOCK + 5)],
 )
 def test_normals_split_anywhere_equal_one_draw(a, b):
-    # an odd a leaves a spare sine that the second call, which crosses a
-    # block, returns first
+    # an odd a leaves a spare sine that the second call returns first,
+    # whether or not it crosses a block
     split, whole = PortableRNG(25), PortableRNG(25)
     first, second = split.normals(a), split.normals(b)
     assert (np.concatenate([first, second]).tobytes()
@@ -173,13 +176,61 @@ def test_known_answer_below_rejects_above_the_limit():
 
 
 def test_belows_is_below_in_a_loop():
-    bounds = [7, 1, 2**40 + 3, 5000] * 1100  # longer than one block
+    # two whole blocks and a tail, in both calls
+    size = 2 * oscisel.rng._BLOCK + 100
+    bounds = [7, 1, 2**40 + 3, 5000] * (size // 4)
     a, b = PortableRNG(16), PortableRNG(16)
     assert list(a.belows(bounds)) == [b.below(n) for n in bounds]
-    assert list(a.belows(range(9000, 1, -1))) == [b.below(n) for n in range(9000, 1, -1)]
+    assert list(a.belows(range(size, 1, -1))) == [b.below(n) for n in range(size, 1, -1)]
     assert a.next_u64() == b.next_u64()
     with pytest.raises(ValueError):
         list(a.belows([3, 0]))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    # NumPy holds the first as float64, which rounds 2**60 + 1 to 2**60; the
+    # second fits no NumPy integer type at all
+    [[2**60 + 1, 2**63 + 1], [2**64, 3]],
+)
+def test_belows_takes_bounds_past_int64_like_below(bounds):
+    for seed in range(32):
+        a, b = PortableRNG(seed), PortableRNG(seed)
+        assert list(a.belows(bounds)) == [b.below(n) for n in bounds]
+        assert a.next_u64() == b.next_u64()
+
+
+@pytest.mark.parametrize("n", [0, -3, 2**64 + 1, 2**70])
+def test_below_and_belows_reject_a_bound_outside_1_to_2_to_the_64(n):
+    rng = PortableRNG(19)
+    with pytest.raises(ValueError, match=f"got {n}$"):
+        rng.below(n)
+    with pytest.raises(ValueError, match=f"got {n}$"):
+        list(rng.belows([n]))
+    with pytest.raises(ValueError, match=f"got {n}$"):
+        list(rng.belows([5, n, 2**63 + 1]))
+
+
+@pytest.mark.parametrize("method", ["uniforms", "normals"])
+def test_a_negative_count_is_a_value_error(method):
+    with pytest.raises(ValueError, match="-5"):
+        getattr(PortableRNG(20), method)(-5)
+    assert getattr(PortableRNG(20), method)(0).shape == (0,)
+
+
+def _words(state: bytes) -> list:
+    return [int.from_bytes(state[8 * i : 8 * i + 8], "little") for i in range(4)]
+
+
+def test_jump_is_lane_steps_from_every_one_byte_state():
+    # every entry of the jump tables is the jump of one one-byte state
+    rng = PortableRNG(0)
+    for i in range(32):
+        for b in range(256):
+            state = bytes(i) + bytes([b]) + bytes(31 - i)
+            rng._s = _words(state)
+            rng._states(oscisel.rng._LANE)
+            assert _words(oscisel.rng._jump(state)) == rng._s
 
 
 def _rng_whose_next_word_is(word: int, seed: int) -> PortableRNG:
