@@ -7,7 +7,7 @@ Synthetic generators (Gaussian blobs, two moons, Gaussian linear regression),
 label-noise injection, an IDX-format image loader, and a small binary
 container ("OSDS") for writing generated datasets to disk. All generators are
 pure functions of (parameters, seed) using the pinned portable RNG, so the
-arrays are bit-identical across platforms.
+arrays are bit-identical within one numeric environment.
 """
 
 from __future__ import annotations

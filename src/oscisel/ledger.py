@@ -19,8 +19,8 @@ _TOL = 1e-9
 class BudgetLedger:
     n: int  # dataset size
     target_ratio: float
-    entries: list = field(default_factory=list)  # n_selected of epoch 0, 1, ...
-    _total: int = field(default=0, init=False, repr=False)  # sum(entries)
+    # n_selected of epoch 0, 1, ...; append-only, so only record_epoch fills it
+    entries: list = field(default_factory=list, init=False)
 
     def record_epoch(self, epoch: int, n_selected: int) -> "BudgetLedger":
         """Append one epoch's count; a rejected count leaves the ledger as it was."""
@@ -31,7 +31,7 @@ class BudgetLedger:
             raise StructuralError(
                 f"n_selected={n_selected} outside [1, {self.n}]"
             )
-        total = self._total + n_selected
+        total = self.total_passes() + n_selected
         bound = self.target_ratio * (t + 1) * self.n + (t + 1)
         if total > bound + _TOL:
             raise BudgetViolationError(
@@ -39,21 +39,22 @@ class BudgetLedger:
                 f"{total} passes > {bound:.3f} allowed"
             )
         self.entries.append(n_selected)
-        self._total = total
         return self
 
     def total_passes(self) -> int:
-        return self._total
+        return sum(self.entries)
 
-    def summary(self) -> dict:
+    def realized_ratio(self) -> float:
+        """Passes per epoch and row so far: total_passes() / (epochs * n)."""
         if not self.entries:
             raise EmptyDatasetError("ledger has no entries")
-        t = len(self.entries)
-        total = self.total_passes()
-        realized = total / (t * self.n)
+        return self.total_passes() / (len(self.entries) * self.n)
+
+    def summary(self) -> dict:
+        realized = self.realized_ratio()
         return {
-            "epochs": t,
-            "total_passes": total,
+            "epochs": len(self.entries),
+            "total_passes": self.total_passes(),
             "realized_ratio": realized,
             "target_ratio": self.target_ratio,
             "headroom": self.target_ratio - realized,

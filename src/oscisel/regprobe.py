@@ -9,8 +9,10 @@ a list of ratios: the loss, gradient, H grad, Tr(HC) and per-sample gradients
 are computed once for all of them, each trial's subset is drawn once and
 shared across ratios as nested prefixes, and the trials' stepped losses are
 evaluated _STACK stacked thetas per forward pass, which runs class-major
-(scores of shape (K, classes, N); see models._losses). The prediction takes R
-at the ratio m/N that the trials realize with their m = floor(pN) rows.
+(scores of shape (K, classes, N); see models._losses). The trials take
+m = selection.subset_size(p, N) = max(1, floor(pN)) rows, as many as an epoch
+at ratio p trains on, and the prediction takes R at the ratio m/N they
+realize.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .models import (
     per_sample_gradients,
 )
 from .rng import subseed
+from .selection import subset_size
 
 def lambda_factor(p: float) -> float:
     """Volumetric modulation (1-p)/p; strictly decreasing on (0, 1). A p so
@@ -79,7 +82,7 @@ def estimate_r(
     Tr(HC) does not depend on p, so one trace serves every ratio. At p = 1
     (full data) every step is the full-batch step and lam = R = 0.
     """
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ParameterDomainError(f"eta must be > 0, got {eta}")
     if n < 1:
         raise ParameterDomainError(f"n must be >= 1, got {n}")
@@ -87,19 +90,6 @@ def estimate_r(
         return 0.0, 0.0
     lam = lambda_factor(p)
     return lam, _eta_squared(eta) / (2.0 * n) * lam * trace_hc
-
-
-def trial_subset_size(p: float, n: int) -> int:
-    """floor(pN), the subset size of verify_one_step_expansion's trials.
-
-    ParameterDomainError unless p is in (0, 1] and the size in [1, N].
-    """
-    if not 0.0 < p <= 1.0:
-        raise ParameterDomainError(f"p must be in (0, 1], got {p}")
-    m = math.floor(p * n + 1e-9)
-    if not 1 <= m <= n:
-        raise ParameterDomainError(f"subset size {m} outside [1, {n}] for p={p}")
-    return m
 
 
 def verify_one_step_expansion(
@@ -113,7 +103,8 @@ def verify_one_step_expansion(
     """Monte-Carlo check of the one-step expected-loss prediction: one report
     per ratio of ratios, in order; an empty sequence is a ParameterDomainError.
 
-    Each trial draws a uniform size-m subset, m = floor(pN), takes one SGD
+    Each trial draws a uniform size-m subset, m = subset_size(p, N) =
+    max(1, floor(pN)), the rows an epoch at ratio p trains on, takes one SGD
     step with the subset-mean gradient, and evaluates the full-data loss. The
     report compares the MC mean against
     L - eta*||grad L||^2 + eta^2/2 * grad L^T H grad L + R, with R taken at
@@ -121,14 +112,14 @@ def verify_one_step_expansion(
     expectation for the quadratic model. Everything but the trials and R is
     computed once per call, since it does not depend on p. Trial i owns
     generator subseed(seed, "trial.i") and draws one permutation, whose first
-    floor(pN) rows are its subset at every p: the draws are independent of
+    m rows are its subset at every p: the draws are independent of
     execution order, and the subsets are nested prefixes across p (which
     makes cross-p comparisons paired).
     """
     if len(ratios) == 0:
         raise ParameterDomainError("ratios names no ratio")
     n = batch.size
-    sizes = [trial_subset_size(q, n) for q in ratios]
+    sizes = [subset_size(q, n) for q in ratios]
     if trials < 1:
         raise ParameterDomainError("trials must be >= 1")
 
@@ -143,6 +134,10 @@ def verify_one_step_expansion(
             + 0.5 * _eta_squared(eta) * float(grad @ hg)
         )
         trace_hc = gradient_covariance_trace_hc(state, batch)
+        # the trials step with m rows, so the subset-mean gradient's
+        # covariance carries (N-m)/m, which (1-p)/p equals only when pN is
+        # whole; computed before the trials, so a bad eta fails before them
+        r_terms = [estimate_r(trace_hc, n, m / n, eta) for m in sizes]
         grads = per_sample_gradients(state, batch)
 
         losses = np.empty((len(ratios), trials))
@@ -161,11 +156,7 @@ def verify_one_step_expansion(
                 row[start:stop] = _losses(state.arch, stepped, batch).mean(axis=1)
 
         reports = []
-        for q, m, row in zip(ratios, sizes, losses):
-            # the trials step with m rows, so the subset-mean gradient's
-            # covariance carries (N-m)/m, which (1-p)/p equals only when pN is
-            # whole
-            lam, r_term = estimate_r(trace_hc, n, m / n, eta)
+        for q, m, (lam, r_term), row in zip(ratios, sizes, r_terms, losses):
             mc_mean = float(row.mean())
             # the spread about row[0] is exactly 0 when every trial loss is
             # equal; the spread about the rounded mean need not be

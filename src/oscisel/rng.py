@@ -235,13 +235,14 @@ class PortableRNG:
             seq[i], seq[j] = seq[j], seq[i]
 
     def sample_without_replacement(self, n: int, m: int) -> np.ndarray:
-        """m distinct indices from [0, n), via partial Fisher-Yates.
+        """m distinct indices from [0, n), via partial Fisher-Yates; n is at
+        most 2**63, so that every index fits the int64 result.
 
         Step i swaps entries i and i + below(n - i) of the pool 0..n-1 and
         keeps entry i. The pool is virtual: an entry is its own index unless
         the dict holds it, and the dict drops entry i once it is kept.
         """
-        if not 0 <= m <= n:
+        if not 0 <= m <= n <= 2**63:
             raise ValueError(f"cannot draw {m} from {n}")
         displaced: dict[int, int] = {}
         out = []

@@ -141,7 +141,6 @@ def run_training(cfg: RunConfig) -> TrainResult:
 
             n_selected = order.shape[0]
             ledger.record_epoch(epoch, n_selected)
-            cumulative = ledger.total_passes() / ((epoch + 1) * train.n)
             if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
                 test_loss, test_acc = evaluate(state, test)
             else:
@@ -151,7 +150,7 @@ def run_training(cfg: RunConfig) -> TrainResult:
                     epoch=epoch,
                     p_t=p_t,
                     n_selected=n_selected,
-                    cumulative_ratio=cumulative,
+                    cumulative_ratio=ledger.realized_ratio(),
                     train_loss=loss_sum / n_selected,
                     test_loss=test_loss,
                     test_accuracy=test_acc,

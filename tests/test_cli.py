@@ -361,6 +361,25 @@ def test_verify_subcommand(tmp_path, capsys):
     assert abs(records[0]["gap_in_se"]) <= 3.0
 
 
+def test_verify_below_one_row_per_ratio_takes_one_row(tmp_path):
+    # 100 rows: p = 0.005 gives floor(0.5) = 0, and an epoch at that ratio
+    # trains on max(1, 0) = 1 row
+    doc = base_config(
+        tmp_path / "verify",
+        dataset={"kind": "gauss_linear", "n_train": 100, "d_in": 2},
+        model={"kind": "quadratic"},
+    )
+    cfg = write_config(tmp_path, doc)
+    assert main(["verify", "--config", str(cfg), "--p", "0.005",
+                 "--trials", "5"]) == 0
+    [record] = [
+        json.loads(line)
+        for line in (tmp_path / "verify" / "regprobe.jsonl").read_text().splitlines()
+    ]
+    assert (record["p"], record["m"]) == (0.005, 1)
+    assert (record["realized_ratio"], record["lambda"]) == (0.01, 99.0)
+
+
 def test_verify_prints_the_raw_gap_when_trials_do_not_spread(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(tmp_path / "verify"))
     assert main(["verify", "--config", str(cfg), "--p", "1,0.5",
@@ -505,7 +524,7 @@ def test_an_output_path_that_cannot_be_a_directory_fails_before_any_work(
 
 
 @pytest.mark.parametrize(
-    "flags", [["--p", "0.5,1.5"], ["--p", "0.5,0.005"], ["--p", "nan"],
+    "flags", [["--p", "0.5,1.5"], ["--p", "0.5,-0.005"], ["--p", "nan"],
               ["--p", "0.0"], ["--p", "0.5", "--trials", "0"]],
 )
 def test_verify_rejects_bad_arguments_before_writing(tmp_path, monkeypatch, flags):
@@ -514,7 +533,6 @@ def test_verify_rejects_bad_arguments_before_writing(tmp_path, monkeypatch, flag
 
     # the first computation inside verify_one_step_expansion
     monkeypatch.setattr(oscisel.regprobe, "mean_loss", no_loss)
-    # 100 rows: p = 0.005 selects floor(0.5) = 0 of them
     doc = base_config(
         tmp_path / "verify",
         dataset={"kind": "gauss_linear", "n_train": 100, "d_in": 2},

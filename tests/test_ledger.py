@@ -81,6 +81,15 @@ def test_summary_min_floor_flagged():
 def test_summary_empty_error():
     with pytest.raises(EmptyDatasetError):
         BudgetLedger(n=10, target_ratio=0.5).summary()
+    with pytest.raises(EmptyDatasetError):
+        BudgetLedger(n=10, target_ratio=0.5).realized_ratio()
+
+
+def test_entries_come_only_from_record_epoch():
+    # the ledger is append-only: a ledger made with entries could hold
+    # counts its budget check never saw
+    with pytest.raises(TypeError):
+        BudgetLedger(n=10, target_ratio=0.5, entries=[10, 10])
 
 
 @pytest.mark.parametrize("n", [20, 1000])

@@ -95,6 +95,8 @@ def test_ledger_soundness(data, n, p):
         t = len(ledger.entries)
         assert ledger.total_passes() == sum(ledger.entries)
         assert ledger.total_passes() <= p * t * n + t + 1e-9
+        if t:
+            assert ledger.realized_ratio() == sum(ledger.entries) / (t * n)
 
 
 @given(p=ratios, q=ratios, n=st.integers(min_value=1, max_value=10**7))
@@ -313,6 +315,7 @@ def test_training_runs_are_reproducible_and_budget_safe(
                 memory.last_updated.tobytes())
 
     assert outputs(first) == outputs(second)
+    assert first.ledger.entries == [record.n_selected for record in first.metrics]
     spent = 0
     for t, (record, (before, chosen, after)) in enumerate(
             zip(first.metrics, updates, strict=True), start=1):
@@ -320,6 +323,8 @@ def test_training_runs_are_reproducible_and_budget_safe(
         assert len(chosen) == record.n_selected
         spent += record.n_selected
         assert spent <= target * t * n + t
+        # the ledger's realized ratio after epoch t - 1
+        assert record.cumulative_ratio == spent / (t * n)
         changed = ((before.values != after.values)
                    | (before.last_updated != after.last_updated))
         assert set(np.flatnonzero(changed)) <= set(chosen.tolist())

@@ -27,6 +27,7 @@ from oscisel.regprobe import (
     verify_one_step_expansion,
 )
 from oscisel.rng import subseed
+from oscisel.selection import subset_size
 
 
 def quadratic_setup(n=120, d=8, seed=7):
@@ -244,9 +245,20 @@ def test_one_step_r_ordering_paired():
 def test_one_step_domain_errors():
     state, batch = quadratic_setup(n=50, d=4)
     with pytest.raises(ParameterDomainError):
-        verify_one_step_expansion(state, batch, [0.001], 0.01, 10)
+        verify_one_step_expansion(state, batch, [0.0], 0.01, 10)
     with pytest.raises(ParameterDomainError):
         verify_one_step_expansion(state, batch, [1.2], 0.01, 10)
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.5, math.nan])
+def test_verify_rejects_a_bad_eta_before_any_trial(monkeypatch, eta):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("verify ran a trial")
+
+    monkeypatch.setattr(oscisel.regprobe, "_losses", no_trial)
+    state, batch = quadratic_setup(n=50, d=4)
+    with pytest.raises(ParameterDomainError, match="^eta must be > 0"):
+        verify_one_step_expansion(state, batch, [0.5, 1.0], eta, 10)
 
 
 @pytest.mark.parametrize(
@@ -298,7 +310,7 @@ def small_instances():
 def one_trial_at_a_time(state, batch, p, eta, trials, seed):
     """Reference loop: each trial's subset, step and full-data loss alone."""
     n = batch.size
-    m = math.floor(p * n + 1e-9)
+    m = subset_size(p, n)
     grads = per_sample_gradients(state, batch)
     losses = []
     for i in range(trials):
@@ -325,6 +337,19 @@ def test_verify_ratio_list_equals_one_call_per_ratio(kind):
         reference = one_trial_at_a_time(state, batch, p, 0.05, 19, seed=3)
         np.testing.assert_allclose(one["trial_losses"], reference,
                                    rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+def test_verify_below_one_row_per_ratio_takes_one_row(kind):
+    state, batch = small_instances()[kind]
+    n = batch.size
+    p = 0.5 / n  # floor(pN) = 0
+    report = verify_one_step_expansion(state, batch, [p], 0.05, 19, seed=3)[0]
+    assert report["m"] == 1 and report["realized_ratio"] == 1 / n
+    assert report["lambda"] == lambda_factor(1 / n)
+    reference = one_trial_at_a_time(state, batch, p, 0.05, 19, seed=3)
+    np.testing.assert_allclose(report["trial_losses"], reference,
+                               rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])

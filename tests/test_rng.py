@@ -165,6 +165,16 @@ def test_known_answer_sample_without_replacement():
     assert rng.next_u64() == 0x5F7FA76CB5A82250
 
 
+def test_sample_without_replacement_takes_n_up_to_2_to_the_63():
+    # every index of an int64 result is below 2**63
+    assert PortableRNG(0).sample_without_replacement(2**63, 2).tolist() == [
+        1867972634398290612, 4570625273314559276,
+    ]
+    for n in (2**63 + 1, 2**64 - 1, 2**64):
+        with pytest.raises(ValueError, match=f"^cannot draw 2 from {n}$"):
+            PortableRNG(0).sample_without_replacement(n, 2)
+
+
 def test_known_answer_below_rejects_above_the_limit():
     # n = 2**63 + 1 rejects about half of all words
     rng = PortableRNG(15)
