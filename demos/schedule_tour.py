@@ -25,7 +25,7 @@ def main():
 
         ledger = BudgetLedger(n=n, target_ratio=target)
         for epoch in range(epochs):
-            ledger.record_epoch(epoch, subset_size(traj.ratio_at(epoch), n))
+            ledger.record_epoch(subset_size(traj.ratio_at(epoch), n))
         s = ledger.summary()
         print(
             f"  after {epochs} epochs on N={n}: realized_ratio="

@@ -17,10 +17,6 @@ class NumericError(ValueError):
     """Non-finite values where finite ones are required."""
 
 
-class SequencingError(RuntimeError):
-    """Ledger entries recorded out of order."""
-
-
 class BudgetViolationError(RuntimeError):
     """The cumulative forward-pass budget was exceeded; always a bug signal."""
 

@@ -177,7 +177,8 @@ class PortableRNG:
         return out
 
     def below(self, n: int) -> int:
-        """Unbiased integer in [0, n) by rejection."""
+        """Unbiased integer in [0, n) by rejection; n is any integer type."""
+        n = operator.index(n)
         _check_bound(n)
         limit = _MASK64 - (_MASK64 + 1) % n
         while True:
@@ -224,8 +225,16 @@ class PortableRNG:
 
         A 1-D integer array is swapped through a memoryview of its buffer: a
         memoryview swap costs half an array's, which boxes every element in
-        a NumPy scalar, and unlike a list copy it needs no extra memory.
+        a NumPy scalar, and unlike a list copy it needs no extra memory. An
+        array of more dimensions is permuted along its first axis by the
+        shuffle of its row indices, as a list of its rows would be: swapping
+        row views in place would copy one row over another.
         """
+        if isinstance(items, np.ndarray) and items.ndim > 1:
+            perm = np.arange(len(items))
+            self.shuffle(perm)
+            items[...] = items[perm]
+            return
         seq = items
         if isinstance(items, np.ndarray) and items.ndim == 1:
             if items.dtype.kind in "iu" and items.dtype.isnative:

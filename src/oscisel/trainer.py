@@ -140,7 +140,7 @@ def run_training(cfg: RunConfig) -> TrainResult:
             memory = update_losses(memory, order, epoch_losses, epoch)
 
             n_selected = order.shape[0]
-            ledger.record_epoch(epoch, n_selected)
+            ledger.record_epoch(n_selected)
             if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
                 test_loss, test_acc = evaluate(state, test)
             else:

@@ -73,7 +73,7 @@ def test_criterion_2_budget_safety():
         for n in (20, 1000):
             ledger = BudgetLedger(n=n, target_ratio=p)
             for epoch in range(200):  # record_epoch re-checks every prefix
-                ledger.record_epoch(epoch, subset_size(traj.ratio_at(epoch), n))
+                ledger.record_epoch(subset_size(traj.ratio_at(epoch), n))
     elapsed = time.monotonic() - start
     report(2, violations == 0 and elapsed < 10.0,
            f"{len(GRID)}x2 ledgers, T=1..200 prefixes, "

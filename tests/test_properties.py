@@ -30,7 +30,6 @@ from oscisel.data import Batch, Dataset, load_osds, save_osds  # noqa: E402
 from oscisel.errors import (  # noqa: E402
     BudgetViolationError,
     ParameterDomainError,
-    SequencingError,
     StructuralError,
 )
 from oscisel.ledger import BudgetLedger  # noqa: E402
@@ -73,7 +72,7 @@ def test_prefix_budget_safety(eps, frac, n, epochs):
     for t in range(epochs):
         assert traj.prefix_average(t + 1) <= p + 1e-12
         # raises BudgetViolationError if a prefix overspends
-        ledger.record_epoch(t, subset_size(traj.ratio_at(t), n))
+        ledger.record_epoch(subset_size(traj.ratio_at(t), n))
     assert ledger.total_passes() <= p * epochs * n + epochs
 
 
@@ -81,17 +80,15 @@ def test_prefix_budget_safety(eps, frac, n, epochs):
 def test_ledger_soundness(data, n, p):
     ledger = BudgetLedger(n=n, target_ratio=p)
     for _ in range(data.draw(st.integers(min_value=0, max_value=25))):
-        # mostly the next epoch, sometimes out of order; counts both in and
-        # out of [1, n]
-        epoch = len(ledger.entries) + data.draw(st.sampled_from([0, 0, 0, 1, -1]))
+        # counts both in and out of [1, n]
         count = data.draw(st.integers(min_value=0, max_value=n + 1))
-        before = (list(ledger.entries), ledger.total_passes())
+        before = (ledger.entries, ledger.total_passes())
         try:
-            ledger.record_epoch(epoch, count)
-        except (SequencingError, StructuralError, BudgetViolationError):
+            ledger.record_epoch(count)
+        except (StructuralError, BudgetViolationError):
             assert (ledger.entries, ledger.total_passes()) == before
         else:
-            assert ledger.entries == before[0] + [count]
+            assert ledger.entries == before[0] + (count,)
         t = len(ledger.entries)
         assert ledger.total_passes() == sum(ledger.entries)
         assert ledger.total_passes() <= p * t * n + t + 1e-9
@@ -315,7 +312,7 @@ def test_training_runs_are_reproducible_and_budget_safe(
                 memory.last_updated.tobytes())
 
     assert outputs(first) == outputs(second)
-    assert first.ledger.entries == [record.n_selected for record in first.metrics]
+    assert first.ledger.entries == tuple(record.n_selected for record in first.metrics)
     spent = 0
     for t, (record, (before, chosen, after)) in enumerate(
             zip(first.metrics, updates, strict=True), start=1):

@@ -141,14 +141,16 @@ def test_known_answer_shuffle_array_and_list():
     "items",
     [np.arange(40, dtype=np.int32), np.arange(40, dtype=np.uint8),
      np.arange(80)[::2], np.arange(40, dtype=">i8"), np.arange(40.0),
-     np.array([str(i) for i in range(40)])],
-    ids=["int32", "uint8", "strided", "big-endian", "float64", "str"],
+     np.array([str(i) for i in range(40)]), np.arange(80).reshape(40, 2)],
+    ids=["int32", "uint8", "strided", "big-endian", "float64", "str", "2-D"],
 )
 def test_shuffle_permutes_every_array_like_a_list(items):
     expected = items.tolist()
-    PortableRNG(13).shuffle(expected)
-    PortableRNG(13).shuffle(items)
+    a, b = PortableRNG(13), PortableRNG(13)
+    a.shuffle(expected)
+    b.shuffle(items)
     assert items.tolist() == expected
+    assert a.next_u64() == b.next_u64()
 
 
 def test_known_answer_sample_without_replacement():
@@ -327,3 +329,26 @@ def test_known_answer_large_sample_without_replacement():
         "81eb41cdaeec498cafecf38ebb95b4ac166c23d1065cac8e651b98cb080a7cef"
     )
     assert rng.next_u64() == 0x91C20BAF618D1D8D
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [np.array([2**63 + 5] * 4, dtype=np.uint64), np.array([7, 3, 1000, 5], dtype=np.int64)],
+    ids=["uint64-near-2**63", "int64"],
+)
+def test_belows_takes_an_array_of_bounds_like_a_list(bounds):
+    # the first word, 2**64 - 1, is rejected by each of these bounds, so the
+    # block falls back on below() with each NumPy integer bound
+    top = 2**64 - 1
+    a, b = _rng_whose_next_word_is(top, 21), _rng_whose_next_word_is(top, 21)
+    assert list(a.belows(bounds)) == list(b.belows(bounds.tolist()))
+    assert a.next_u64() == b.next_u64()
+    assert list(PortableRNG(0).belows(bounds)) == list(PortableRNG(0).belows(bounds.tolist()))
+
+
+def test_below_takes_a_numpy_integer_and_rejects_a_float():
+    for n in (np.int64(5), np.uint64(2**63 + 5)):
+        draw = PortableRNG(22).below(n)
+        assert type(draw) is int and draw == PortableRNG(22).below(int(n))
+    with pytest.raises(TypeError):
+        PortableRNG(22).below(5.0)
