@@ -7,7 +7,9 @@ hand back the per-sample losses of its forward pass. Hessian-vector products
 use symmetric finite differences of the mean gradient, which is exact (up to
 rounding) for the quadratic model: one call takes any number of directions
 and evaluates the gradient at theta + r v and theta - r v for _STACK // 2
-directions at a time as one stack of thetas.
+directions at a time as one stack of thetas. The difference is linear in
+its direction only on the rows where the step cannot carry a ReLU
+pre-activation across 0; fd_kink_rows marks the others.
 
 One theta, which training and evaluation read, runs row-major: each layer's
 output is (m, width), its weights and bias applied in two passes. A stack of
@@ -38,8 +40,6 @@ from .errors import (
     StructuralError,
 )
 from .rng import PortableRNG
-
-_HVP_DELTA = 1e-5
 
 # Thetas per class-major call, set by memory: hessian_vector_product stacks
 # _STACK // 2 directions per _mean_gradient call (theta ± r v), and
@@ -373,6 +373,33 @@ def per_sample_gradients(state: ModelState, batch: Batch) -> np.ndarray:
     return grads
 
 
+# hessian_vector_product's step: r = _HVP_DELTA / max(||v||, 1), so theta
+# moves by at most _HVP_DELTA along any direction
+_HVP_DELTA = 1e-5
+
+
+def fd_kink_rows(state: ModelState, batch: Batch) -> np.ndarray:
+    """Rows (m,) bool on which hessian_vector_product's difference may not be
+    linear in its direction: some hidden pre-activation z_sj lies within
+    2 * _HVP_DELTA * ||[x_s; 1]|| of 0.
+
+    A step of at most _HVP_DELTA moves z_sj by at most
+    _HVP_DELTA * ||[x_s; 1]||, so on an unmarked row no ReLU gate changes
+    between theta + r v and theta - r v, whatever v is, and the row's
+    difference is its exact HVP up to O(r²) truncation; the factor 2
+    absorbs rounding. A model without a hidden layer marks no row.
+    """
+    check_batch(state, batch)
+    blocks = _blocks(state.arch, state.theta)
+    if len(blocks) < 2:
+        return np.zeros(batch.size, dtype=bool)
+    x, wb = batch.inputs, blocks[0]
+    z = x @ wb[:-1]
+    z += wb[-1]
+    reach = 2.0 * _HVP_DELTA * np.sqrt(np.einsum("sk,sk->s", x, x) + 1.0)
+    return (np.abs(z) <= reach[:, None]).any(axis=1)
+
+
 def hessian_vector_product(
     state: ModelState, batch: Batch, v: np.ndarray
 ) -> np.ndarray:
@@ -380,11 +407,12 @@ def hessian_vector_product(
 
     v is one direction (d,) or a stack of any number of directions (K, d),
     K = 0 included, one HVP per row. Each row gets its own step
-    r = 1e-5 / max(||row||, 1), so a row whose norm is NaN or inf (a NaN, an
-    infinity, or an overflow, which would make r 0 and the quotient 0/0) is
-    a NumericError. Each _STACK // 2 rows take one stacked _mean_gradient
-    call, class-major for classifiers, on theta + r v for each row, then
-    theta - r v, and write their quotients into one (K, d) result.
+    r = _HVP_DELTA / max(||row||, 1), so a row whose norm is NaN or inf (a
+    NaN, an infinity, or an overflow, which would make r 0 and the quotient
+    0/0) is a NumericError. Each _STACK // 2 rows take one stacked
+    _mean_gradient call, class-major for classifiers, on theta + r v for
+    each row, then theta - r v, and write their quotients into one (K, d)
+    result.
     """
     v = np.asarray(v, dtype=np.float64)
     d = state.theta.shape[0]

@@ -3,16 +3,18 @@
 Estimates the subsampling-induced one-step loss penalty
 R = eta^2/(2N) * (1-p)/p * Tr(H C), where C is the per-sample gradient
 covariance (1/(N-1) normalization, which makes the one-step identity exact
-under uniform sampling without replacement), and verifies the second-order
-one-step prediction against Monte-Carlo subset draws. The verification takes
-a list of ratios: the loss, gradient, H grad, Tr(HC) and per-sample gradients
-are computed once for all of them, each trial's subset is drawn once and
-shared across ratios as nested prefixes, and the trials' stepped losses are
-evaluated _STACK stacked thetas per forward pass, which runs class-major
-(scores of shape (K, classes, N); see models._losses). The trials take
-m = selection.subset_size(p, N) = max(1, floor(pN)) rows, as many as an epoch
-at ratio p trains on, and the prediction takes R at the ratio m/N they
-realize.
+under uniform sampling without replacement). With P parameters and N rows,
+Tr(HC) takes H from P basis Hessian-vector products when 2P <= N, and
+otherwise hands the N centred per-sample gradients to one product call. It
+verifies the second-order one-step prediction against Monte-Carlo subset
+draws. The verification takes a list of ratios: the loss, gradient,
+H grad, Tr(HC) and per-sample gradients are computed once for all of them,
+each trial's subset is drawn once and shared across ratios as nested
+prefixes, and the trials' stepped losses are evaluated _STACK stacked thetas
+per forward pass, which runs class-major (scores of shape (K, classes, N);
+see models._losses). The trials take m = selection.subset_size(p, N) =
+max(1, floor(pN)) rows, as many as an epoch at ratio p trains on, and the
+prediction takes R at the ratio m/N they realize.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .models import (
     ModelState,
     _losses,
     _STACK,
+    fd_kink_rows,
     hessian_vector_product,
     mean_gradient,
     mean_loss,
@@ -35,6 +38,14 @@ from .models import (
 )
 from .rng import subseed
 from .selection import subset_size
+
+# Rows per product of the trace's D^T D. One product over all N rows has
+# OpenBLAS pack blocks of both operands into its work buffer, whose pages
+# stay resident for the process: at P = 170, N = 600 that read 0.56 MB more
+# of blobs-verify's peak_rss_mb than 32-row blocks (medians of 3 runs,
+# 2-vCPU Xeon), and the blocks cost about 0.7 ms per trace at that size.
+_GRAM_ROWS = 32
+
 
 def lambda_factor(p: float) -> float:
     """Volumetric modulation (1-p)/p; strictly decreasing on (0, 1). A p so
@@ -49,21 +60,50 @@ def lambda_factor(p: float) -> float:
 
 
 def gradient_covariance_trace_hc(state: ModelState, batch: Batch) -> float:
-    """Tr(H C) via one HVP quadratic form per sample deviation.
+    """Tr(H C) from finite-difference HVPs of the mean gradient.
 
-    Tr(HC) = 1/(N-1) * sum_i (g_i - gbar)^T H (g_i - gbar), with the
-    deviations taken from per-sample gradients over the full dataset, and
-    H (g_i - gbar) the finite-difference HVP of the mean gradient, all N
-    in one call. The deviations are centred in place, so the trace holds
-    two (N, d) arrays: them and their HVPs.
+    Tr(HC) = 1/(N-1) * sum_i d_i^T H d_i, with d_i = g_i - gbar the
+    deviations of the per-sample gradients over the full dataset, the rows
+    of D (N, P), and H (d_i) the finite-difference HVP. With 2P > N the N
+    deviations go to one hessian_vector_product call. Otherwise the sum is
+    <H, D^T D>, with H from P basis HVPs, fewer directions than N. The
+    difference is linear in its direction only on the rows that
+    models.fd_kink_rows leaves unmarked, S; the marked rows K keep one
+    difference per deviation, in one call over those rows:
+
+        Tr = [|S| <H_S, D^T D> + |K| sum_i d_i^T H_K d_i] / (N (N-1)),
+
+    H_S and H_K the mean-loss Hessians over S and K. The two paths agree
+    to the difference's O(r^2) truncation. Either holds at most two (N, P)
+    arrays: the deviations, centred in place, and the N deviation HVPs; the
+    basis HVPs run once D^T D is formed and the deviations are freed.
     """
     n = batch.size
     if n < 2:
         raise EmptyDatasetError(f"covariance needs N >= 2, got {n}")
     dev = per_sample_gradients(state, batch)
     dev -= dev.mean(axis=0)
-    hv = hessian_vector_product(state, batch, dev)
-    return float(np.einsum("kd,kd->", dev, hv)) / (n - 1)
+    d = dev.shape[1]
+    if 2 * d > n:
+        hv = hessian_vector_product(state, batch, dev)
+        return float(np.einsum("kd,kd->", dev, hv)) / (n - 1)
+    kinked = fd_kink_rows(state, batch)
+    total = 0.0
+    if kinked.any():
+        rows = Batch(batch.inputs[kinked], batch.labels[kinked])
+        hv = hessian_vector_product(state, rows, dev)
+        total += rows.size * float(np.einsum("kd,kd->", dev, hv))
+        del hv
+    if not kinked.all():
+        rows = Batch(batch.inputs[~kinked], batch.labels[~kinked])
+        gram = np.zeros((d, d))
+        for start in range(0, n, _GRAM_ROWS):
+            block = dev[start : start + _GRAM_ROWS]
+            gram += block.T @ block
+        del dev, block  # the basis products run without the (N, P) array
+        h = hessian_vector_product(state, rows, np.eye(d))
+        total += rows.size * float(np.einsum("ij,ij->", h, gram))
+    return total / (n * (n - 1))
 
 
 def _eta_squared(eta: float) -> float:

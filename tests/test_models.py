@@ -9,8 +9,10 @@ from oscisel.models import (
     Arch,
     Batch,
     ModelState,
+    _blocks,
     _losses,
     _mean_gradient,
+    fd_kink_rows,
     hessian_vector_product,
     init_state,
     loss_per_sample,
@@ -287,6 +289,23 @@ def test_hvp_of_no_directions_is_empty(arch):
     d = arch.param_count
     hv = hessian_vector_product(state, batch, np.zeros((0, d)))
     assert hv.shape == (0, d) and hv.dtype == np.float64
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.kind)
+def test_fd_kink_rows_marks_only_rows_by_a_relu_kink(arch):
+    state, batch = random_instance(arch, np.random.default_rng(23))
+    marked = fd_kink_rows(state, batch)
+    assert marked.shape == (batch.size,) and marked.dtype == bool
+    assert not marked.any()
+    # at a zero input, a hidden unit with a zero bias sits on its kink; a
+    # model without a hidden layer has no kink to mark
+    x, theta = batch.inputs.copy(), state.theta.copy()
+    x[1] = 0.0
+    if arch.kind == "mlp":
+        _blocks(arch, theta)[0][-1, 0] = 0.0  # hidden unit 0's bias
+    expected = [False, arch.kind == "mlp"] + [False] * (batch.size - 2)
+    marked = fd_kink_rows(ModelState(arch, theta), Batch(x, batch.labels))
+    assert marked.tolist() == expected
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -6,9 +6,10 @@ soundness of the budget ledger, the bounds of the subset size, the
 hard-mining order, the OSDS file round trip, a portable stream that does
 not depend on how its words are drawn, a lane jump that equals its single
 steps, the one-step identity that the implicit regularizer rests on,
-stacked model kernels that compute what one call per theta does, and whole
-training runs that are bit-reproducible, budget-safe and write the loss
-memory only where they selected.
+stacked model kernels that compute what one call per theta does, rows the
+finite-difference HVP leaves unmarked that keep every ReLU gate across its
+step, and whole training runs that are bit-reproducible, budget-safe and
+write the loss memory only where they selected.
 """
 
 import itertools
@@ -34,10 +35,14 @@ from oscisel.errors import (  # noqa: E402
 )
 from oscisel.ledger import BudgetLedger  # noqa: E402
 from oscisel.models import (  # noqa: E402
+    _HVP_DELTA,
     Arch,
     ModelState,
+    _blocks,
+    _class_major_forward,
     _losses,
     _mean_gradient,
+    fd_kink_rows,
     mean_loss,
     per_sample_gradients,
 )
@@ -267,6 +272,47 @@ def test_stacked_kernels_equal_one_call_per_theta(kind, d_in, hidden, classes, m
         assert np.abs(grad - single).max() <= 32 * np.spacing(grad_scale)
         single = _losses(arch, theta, batch)
         assert np.abs(loss - single).max() <= 8 * np.spacing(loss_scale)
+
+
+@given(
+    d_in=st.integers(min_value=1, max_value=4),
+    hidden=st.integers(min_value=1, max_value=8),
+    m=st.integers(min_value=1, max_value=30),
+    direction=st.sampled_from(["basis", "random", "aligned"]),
+    log_norm=st.floats(min_value=-3.0, max_value=6.0),
+    offset=st.floats(min_value=-1e-4, max_value=1e-4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(d_in=2, hidden=4, m=5, direction="aligned", log_norm=0.0, offset=1e-7, seed=0)
+@example(d_in=2, hidden=4, m=5, direction="aligned", log_norm=6.0, offset=3e-5, seed=0)
+def test_unmarked_rows_keep_every_relu_gate_across_the_hvp_step(
+    d_in, hidden, m, direction, log_norm, offset, seed
+):
+    # row 0's pre-activation at unit 0 is set to offset, so it lies near the
+    # bound; the aligned direction moves it as far as any direction can
+    arch = Arch("mlp", d_in, hidden, 2)
+    rng = np.random.default_rng(seed)
+    batch = Batch(rng.normal(size=(m, d_in)), rng.integers(0, 2, m))
+    theta = rng.normal(size=arch.param_count)
+    wb1 = _blocks(arch, theta)[0]  # a view into theta
+    wb1[-1, 0] -= batch.inputs[0] @ wb1[:-1, 0] + wb1[-1, 0] - offset
+    v = np.zeros(arch.param_count)
+    if direction == "basis":
+        v[rng.integers(arch.param_count)] = 1.0
+    elif direction == "random":
+        v = rng.normal(size=arch.param_count)
+    else:
+        _blocks(arch, v)[0][:, 0] = np.append(batch.inputs[0], 1.0)
+    v *= 10.0**log_norm / np.linalg.norm(v)
+    marked = fd_kink_rows(ModelState(arch, theta), batch)
+    if abs(offset) <= _HVP_DELTA:  # within the bound for any ||[x_s; 1]|| >= 1
+        assert marked[0]
+    r = _HVP_DELTA / max(np.linalg.norm(v), 1.0)
+    # the ReLU'd hidden layer of the stacked forward the difference runs
+    hidden_out = _class_major_forward(arch, np.stack([theta + r * v, theta - r * v]),
+                                      batch.inputs)[2][1][:, :-1]
+    gates = hidden_out > 0
+    assert not ((gates[0] != gates[1]).any(axis=0) & ~marked).any()
 
 
 # each example trains twice, and probes Tr(HC) every epoch when probe_every

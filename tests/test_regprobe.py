@@ -15,6 +15,7 @@ from oscisel.models import (
     Batch,
     ModelState,
     _blocks,
+    fd_kink_rows,
     hessian_vector_product,
     mean_gradient,
     mean_loss,
@@ -113,11 +114,30 @@ def fd_trace_loop(state, batch, step=1e-5):
     return total / (batch.size - 1)
 
 
+def set_pre_activation(state, batch, row, unit, value):
+    """state with the first-layer pre-activation of batch row `row` at hidden
+    unit `unit` moved to value, by its bias."""
+    theta = state.theta.copy()
+    wb1 = _blocks(state.arch, theta)[0]  # a view into theta
+    w1, b1 = wb1[:-1], wb1[-1]
+    b1[unit] -= batch.inputs[row] @ w1[:, unit] + b1[unit] - value
+    return ModelState(state.arch, theta)
+
+
 def trace_instances():
-    """A 10-class logistic, an MLP-32 and a quadratic (state, batch)."""
+    """(state, batch) pairs for the trace's two paths. A 10-class logistic,
+    an MLP-32 and a quadratic; with 2P > N for the first two, and then the
+    basis path's: a 3-class logistic, an MLP-4 and a quadratic, with
+    2P <= N, and the MLP-4 with one pre-activation 1e-7 from its kink."""
     rng = np.random.default_rng(27)
     logistic = Arch("logistic", 16, classes=10)
     mlp = Arch("mlp", 2, hidden=32, classes=2)
+    small_logistic = Arch("logistic", 3, classes=3)  # P = 12, N = 90
+    small_mlp = Arch("mlp", 2, hidden=4, classes=2)  # P = 22, N = 120
+    basis_mlp = (
+        ModelState(small_mlp, rng.normal(size=small_mlp.param_count)),
+        gen_two_moons(120, 0.2, seed=31),
+    )
     return {
         "logistic": (
             ModelState(logistic, 0.3 * rng.normal(size=logistic.param_count)),
@@ -128,6 +148,14 @@ def trace_instances():
             gen_two_moons(40, 0.2, seed=29),
         ),
         "quadratic": quadratic_setup(n=50, d=6, seed=30),
+        "basis_logistic": (
+            ModelState(small_logistic, 0.5 * rng.normal(size=12)),
+            gen_blobs(3, 30, 3, 0.5, seed=32),
+        ),
+        "basis_mlp": basis_mlp,
+        "basis_quadratic": quadratic_setup(n=120, d=8, seed=33),
+        "basis_kinked_mlp": (set_pre_activation(*basis_mlp, 0, 3, 1e-7),
+                             basis_mlp[1]),
     }
 
 
@@ -138,21 +166,54 @@ def test_trace_hc_equals_one_deviation_at_a_time(kind):
     assert trace == pytest.approx(fd_trace_loop(state, batch), rel=1e-10)
 
 
-@pytest.mark.parametrize("kind", ["logistic", "mlp", "quadratic"])
-def test_trace_hc_makes_one_hvp_call(kind, monkeypatch):
+@pytest.mark.parametrize(
+    "kind", ["basis_logistic", "basis_mlp", "basis_quadratic", "basis_kinked_mlp"]
+)
+def test_basis_trace_hc_equals_one_deviation_at_a_time(kind):
+    # with 2P <= N, H comes from basis HVPs at step 1e-5 and the loop's
+    # deviations take 1e-5 / ||d_i||, so the two differ by the difference's
+    # O(r^2) truncation: measured at 1.1e-13 to 1.1e-11 relative
     state, batch = trace_instances()[kind]
+    assert 2 * state.arch.param_count <= batch.size
+    trace = gradient_covariance_trace_hc(state, batch)
+    assert trace == pytest.approx(fd_trace_loop(state, batch), rel=1e-9)
+
+
+def hvp_calls(state, batch, monkeypatch):
+    """(rows of the batch, shape of the directions) of each HVP call the
+    trace makes."""
     calls = []
 
     def counted(state, batch, v):
-        calls.append(v.shape)
+        calls.append((batch.size, v.shape))
         return hessian_vector_product(state, batch, v)
 
     monkeypatch.setattr(oscisel.regprobe, "hessian_vector_product", counted)
     gradient_covariance_trace_hc(state, batch)
-    assert calls == [(batch.size, state.arch.param_count)]
+    return calls
 
 
-@pytest.mark.parametrize("kind", ["logistic", "mlp", "quadratic"])
+@pytest.mark.parametrize(
+    "kind", ["logistic", "mlp", "quadratic", "basis_logistic", "basis_mlp"]
+)
+def test_trace_hc_makes_one_hvp_call(kind, monkeypatch):
+    # the N deviations over every row when 2P > N, else the P basis vectors
+    state, batch = trace_instances()[kind]
+    n, d = batch.size, state.arch.param_count
+    directions = (n, d) if 2 * d > n else (d, d)
+    assert hvp_calls(state, batch, monkeypatch) == [(n, directions)]
+
+
+def test_trace_hc_on_the_basis_path_sends_marked_rows_every_deviation(monkeypatch):
+    state, batch = trace_instances()["basis_kinked_mlp"]
+    n, d = batch.size, state.arch.param_count
+    assert fd_kink_rows(state, batch).sum() == 1
+    assert hvp_calls(state, batch, monkeypatch) == [(1, (n, d)), (n - 1, (d, d))]
+
+
+@pytest.mark.parametrize(
+    "kind", ["logistic", "mlp", "quadratic", "basis_kinked_mlp"]
+)
 def test_trace_hc_does_not_depend_on_the_hvp_chunk(kind, monkeypatch):
     # each direction's quotient is its own, so the directions stacked per
     # gradient call change no bit of the trace
@@ -164,20 +225,28 @@ def test_trace_hc_does_not_depend_on_the_hvp_chunk(kind, monkeypatch):
     assert len(traces) == 1
 
 
-def test_trace_hc_is_a_finite_difference_across_a_relu_kink():
-    state, batch = trace_instances()["mlp"]
-    theta = state.theta.copy()
-    wb1, _ = _blocks(state.arch, theta)  # views into theta
-    w1, b1 = wb1[:-1], wb1[-1]
-    # sample 0's pre-activation at hidden unit 3 is 1e-7, inside the 1e-5
-    # step, so the ReLU's kink falls between theta - rv and theta + rv
-    b1[3] -= batch.inputs[0] @ w1[:, 3] + b1[3] - 1e-7
-    kinked = ModelState(state.arch, theta)
+def check_finite_difference_across_a_kink(kinked, batch, rel):
     trace = gradient_covariance_trace_hc(kinked, batch)
-    assert trace == pytest.approx(fd_trace_loop(kinked, batch), rel=1e-10)
+    assert trace == pytest.approx(fd_trace_loop(kinked, batch), rel=rel)
     # a 100 times smaller step does not reach the kink, and an exact HVP
     # would not see it either: the probe is the finite difference
     assert abs(trace - fd_trace_loop(kinked, batch, step=1e-7)) > 0.5 * abs(trace)
+
+
+def test_trace_hc_is_a_finite_difference_across_a_relu_kink():
+    state, batch = trace_instances()["mlp"]
+    # sample 0's pre-activation at hidden unit 3 is 1e-7, inside the 1e-5
+    # step, so the ReLU's kink falls between theta - rv and theta + rv
+    kinked = set_pre_activation(state, batch, 0, 3, 1e-7)
+    check_finite_difference_across_a_kink(kinked, batch, rel=1e-10)
+
+
+def test_basis_trace_hc_is_a_finite_difference_across_a_relu_kink():
+    # the marked row keeps one difference per deviation; the basis HVPs of
+    # the other rows add their O(r^2) truncation, hence 1e-9
+    check_finite_difference_across_a_kink(
+        *trace_instances()["basis_kinked_mlp"], rel=1e-9
+    )
 
 
 def test_trace_hc_degenerate_error():
