@@ -6,8 +6,8 @@ closed-form backprop, double precision throughout; ``mean_gradient`` can also
 hand back the per-sample losses of its forward pass. Hessian-vector products
 use symmetric finite differences of the mean gradient, which is exact (up to
 rounding) for the quadratic model: one call takes any number of directions
-and evaluates the gradient at theta + r v and theta - r v for _STACK // 2
-directions at a time as one stack of thetas. The difference is linear in
+and evaluates the gradient at theta + r v and theta - r v for half a stack
+of directions at a time as one stack of thetas. The difference is linear in
 its direction only on the rows where the step cannot carry a ReLU
 pre-activation across 0; fd_kink_rows marks the others.
 
@@ -21,7 +21,9 @@ product of its [W; b] block, which theta stores as one row-major
 gradient is one product too, written into the block's slot of the result.
 The two layouts agree to rounding, not bit for bit. _blocks is the one map
 of theta, a stack or a gradient onto layers, for every layout, and _STACK is
-the one bound on how many thetas a class-major call holds.
+the bound on how many thetas a class-major call holds; only a
+Hessian-vector product on a batch so small that more fit in _STACK_FLOATS
+stacks more.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
 from .rng import PortableRNG
 
 # Thetas per class-major call, set by memory: hessian_vector_product stacks
-# _STACK // 2 directions per _mean_gradient call (theta ± r v), and
+# at least _STACK // 2 directions per _mean_gradient call (theta ± r v), and
 # regprobe.verify_one_step_expansion _STACK trials per _losses call. Keep it
 # even. At MLP-32 and N = 500 the gradient's largest array, (_STACK, 33, N)
 # float64, is 1.1 MB. One Tr(HC) at N = 500 took 116/93/70/85/86 ms at
@@ -51,6 +53,17 @@ from .rng import PortableRNG
 # no resolvable wall_ref gain (2-vCPU Xeon, OpenBLAS 1 thread, medians of 3-4
 # processes). Each theta's result is its own, so it changes no value.
 _STACK = 8
+
+# Floats a stacked hessian_vector_product call holds per theta-shaped or
+# layer-shaped array when that is more than _STACK thetas: on the one or two
+# rows that fd_kink_rows marks, 4 directions per call made the trace's
+# marked-row call almost all Python overhead, 8 ms of a 75 ms moons-probe
+# operation per marked snapshot, so the operation's time followed the
+# seed's count of marked snapshots. 500 directions on one MLP-32 row took
+# 5.2/3.2/2.2/1.7/2.0/2.1/2.2 ms at 2**11 ... 2**17 floats (2-vCPU Xeon,
+# OpenBLAS 1 thread, best of 5). MLP-32 at N >= 500 and a 16-input,
+# 10-class logistic model at N = 600 keep _STACK thetas.
+_STACK_FLOATS = 2**14
 
 
 # kind -> the keys a config's "model" object of that kind requires, besides
@@ -400,6 +413,16 @@ def fd_kink_rows(state: ModelState, batch: Batch) -> np.ndarray:
     return (np.abs(z) <= reach[:, None]).any(axis=1)
 
 
+def _hvp_directions(arch: Arch, m: int) -> int:
+    """Directions per stacked _mean_gradient call on m rows: half of
+    _STACK thetas, or of as many as _STACK_FLOATS floats hold if more. A
+    theta takes its own row and its gradient's, d floats each, and its
+    widest layer output with the ones row, (width + 1) * m floats."""
+    width = max(arch.widths[1:], default=0)
+    per_theta = arch.param_count + (width + 1) * m
+    return max(_STACK, _STACK_FLOATS // per_theta) // 2
+
+
 def hessian_vector_product(
     state: ModelState, batch: Batch, v: np.ndarray
 ) -> np.ndarray:
@@ -409,7 +432,7 @@ def hessian_vector_product(
     K = 0 included, one HVP per row. Each row gets its own step
     r = _HVP_DELTA / max(||row||, 1), so a row whose norm is NaN or inf (a
     NaN, an infinity, or an overflow, which would make r 0 and the quotient
-    0/0) is a NumericError. Each _STACK // 2 rows take one stacked
+    0/0) is a NumericError. Each _hvp_directions rows take one stacked
     _mean_gradient call, class-major for classifiers, on theta + r v for
     each row, then theta - r v, and write their quotients into one (K, d)
     result.
@@ -429,8 +452,9 @@ def hessian_vector_product(
         raise NumericError("a direction holds NaN or inf, or its norm is "
                            "non-finite: it overflows float64")
     hv = np.empty(rows.shape)
-    for start in range(0, len(rows), _STACK // 2):
-        chunk = slice(start, start + _STACK // 2)
+    step = _hvp_directions(state.arch, batch.size)
+    for start in range(0, len(rows), step):
+        chunk = slice(start, start + step)
         offsets = r[chunk] * rows[chunk]
         thetas = np.concatenate([state.theta + offsets, state.theta - offsets])
         g_plus, g_minus = np.split(_mean_gradient(state.arch, thetas, batch), 2)

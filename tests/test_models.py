@@ -5,11 +5,14 @@ import pytest
 
 from oscisel.errors import NumericError, StructuralError
 from oscisel.models import (
+    _STACK,
+    _STACK_FLOATS,
     MODELS,
     Arch,
     Batch,
     ModelState,
     _blocks,
+    _hvp_directions,
     _losses,
     _mean_gradient,
     fd_kink_rows,
@@ -281,6 +284,20 @@ def test_stacked_hvp_errors():
     bad[1, 0] = np.nan
     with pytest.raises(NumericError):
         hessian_vector_product(state, batch, bad)
+
+
+def test_hvp_stacks_more_directions_only_on_few_rows():
+    # MLP-32 at N = 500 (moons-probe) and a 16-input, 10-class logistic model
+    # at N = 600 (blobs-verify) keep _STACK thetas per gradient call; on the
+    # one or two rows fd_kink_rows marks, a call takes many directions, and
+    # its thetas and layer outputs stay within _STACK_FLOATS
+    mlp = Arch("mlp", 2, hidden=32, classes=2)
+    assert _hvp_directions(mlp, 499) == _hvp_directions(mlp, 500) == _STACK // 2
+    assert _hvp_directions(Arch("logistic", 16, classes=10), 600) == _STACK // 2
+    for m in (1, 2):
+        thetas = 2 * _hvp_directions(mlp, m)
+        assert thetas > 4 * _STACK
+        assert thetas * (mlp.param_count + (32 + 1) * m) <= _STACK_FLOATS
 
 
 @pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.kind)

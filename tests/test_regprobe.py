@@ -216,12 +216,15 @@ def test_trace_hc_on_the_basis_path_sends_marked_rows_every_deviation(monkeypatc
 )
 def test_trace_hc_does_not_depend_on_the_hvp_chunk(kind, monkeypatch):
     # each direction's quotient is its own, so the directions stacked per
-    # gradient call change no bit of the trace
+    # gradient call change no bit of the trace, whether _STACK or
+    # _STACK_FLOATS sets them
     state, batch = trace_instances()[kind]
     traces = set()
     for stack in (2, 6, 8, 32):
-        monkeypatch.setattr(oscisel.models, "_STACK", stack)
-        traces.add(gradient_covariance_trace_hc(state, batch))
+        for floats in (2**10, 2**14, 2**18):
+            monkeypatch.setattr(oscisel.models, "_STACK", stack)
+            monkeypatch.setattr(oscisel.models, "_STACK_FLOATS", floats)
+            traces.add(gradient_covariance_trace_hc(state, batch))
     assert len(traces) == 1
 
 
