@@ -32,7 +32,6 @@ from .models import (
 from .regprobe import (
     estimate_r,
     gradient_covariance_trace_hc,
-    lambda_factor,
     verify_one_step_expansion,
 )
 from .rng import PortableRNG, subseed

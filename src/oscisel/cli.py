@@ -24,12 +24,9 @@ from .config import (
 )
 from .data import DATASETS, datasets_from_spec, is_finite, save_osds
 from .errors import ConfigError, FormatError, NumericError, ParameterDomainError
-from .regprobe import (
-    estimate_r,
-    lambda_factor,
-    verify_one_step_expansion,
-)
+from .regprobe import estimate_r, verify_one_step_expansion
 from .schedule import RatioTrajectory, derive_params
+from .selection import subset_size
 from .trainer import (
     build_datasets,
     build_model,
@@ -193,8 +190,8 @@ def _cmd_probe(args) -> int:
     loaded = load_config(args.config)
     _check_out_dir(loaded.out_dir, "regprobe.jsonl")
     ratios = _parse_ratio_list(args.p)
-    for p in ratios:  # all of them, before any training
-        lambda_factor(p)
+    for p in ratios:  # (0, 1] at every N, so each is checked before training
+        subset_size(p, 1)
     cfg = loaded.run
     if cfg.probe_every == 0:
         cfg = replace(cfg, probe_every=1)
@@ -202,12 +199,13 @@ def _cmd_probe(args) -> int:
     n = result.ledger.n
     lines = []
     for p in ratios:
-        # one Tr(HC) per snapshot, from the run; only (1-p)/p varies with p
+        m = subset_size(p, n)
+        # one Tr(HC) per snapshot, from the run
         for epoch, _, trace_hc in result.snapshots:
             # the epoch's learning rate, as in the run's own R_estimate
-            lam, r = estimate_r(trace_hc, n, p, cfg.learning_rate_at(epoch))
+            lam, r = estimate_r(trace_hc, n, m, cfg.learning_rate_at(epoch))
             lines.append(_json_line({
-                "p": p, "epoch": epoch, "trace_HC": trace_hc,
+                "p": p, "m": m, "epoch": epoch, "trace_HC": trace_hc,
                 "lambda": lam, "R": r, "probes": n, "seed": cfg.seed,
             }))
     _write(loaded.out_dir, {"regprobe.jsonl": "".join(lines)})

@@ -3,18 +3,19 @@
 Estimates the subsampling-induced one-step loss penalty
 R = eta^2/(2N) * (1-p)/p * Tr(H C), where C is the per-sample gradient
 covariance (1/(N-1) normalization, which makes the one-step identity exact
-under uniform sampling without replacement). With P parameters and N rows,
-Tr(HC) takes H from P basis Hessian-vector products when 2P <= N, and
-otherwise hands the N centred per-sample gradients to one product call. It
-verifies the second-order one-step prediction against Monte-Carlo subset
-draws. The verification takes a list of ratios: the loss, gradient,
-H grad, Tr(HC) and per-sample gradients are computed once for all of them,
-each trial's subset is drawn once and shared across ratios as nested
-prefixes, and the trials' stepped losses are evaluated _STACK stacked thetas
-per forward pass, which runs class-major (scores of shape (K, classes, N);
-see models._losses). The trials take m = selection.subset_size(p, N) =
-max(1, floor(pN)) rows, as many as an epoch at ratio p trains on, and the
-prediction takes R at the ratio m/N they realize.
+under uniform sampling without replacement). R is taken at the subset size
+m = selection.subset_size(p, N) = max(1, floor(pN)) that an epoch at ratio
+p trains on, so its (1-p)/p is (N-m)/m, from integers. With P parameters
+and N rows, Tr(HC) takes H from P basis Hessian-vector products when
+2P <= N, and otherwise hands the N centred per-sample gradients to one
+product call. It verifies the second-order one-step prediction against
+Monte-Carlo subset draws. The verification takes a list of ratios: the loss,
+gradient, H grad, Tr(HC) and per-sample gradients are computed once for all
+of them, each trial's subset is drawn once and shared across ratios as
+nested prefixes, and the trials' stepped losses are evaluated _STACK
+stacked thetas per forward pass, which runs class-major (scores of shape
+(K, classes, N); see models._losses). The trials take those m rows, and the
+prediction takes R at the same m.
 """
 
 from __future__ import annotations
@@ -45,18 +46,6 @@ from .selection import subset_size
 # of blobs-verify's peak_rss_mb than 32-row blocks (medians of 3 runs,
 # 2-vCPU Xeon), and the blocks cost about 0.7 ms per trace at that size.
 _GRAM_ROWS = 32
-
-
-def lambda_factor(p: float) -> float:
-    """Volumetric modulation (1-p)/p; strictly decreasing on (0, 1). A p so
-    small that (1-p)/p overflows is out of the domain too."""
-    if not 0.0 < p < 1.0:
-        raise ParameterDomainError(f"p must be in (0, 1), got {p}")
-    with np.errstate(over="ignore"):
-        lam = (1.0 - p) / p
-    if not math.isfinite(lam):
-        raise ParameterDomainError(f"p={p} is too small: (1-p)/p overflows")
-    return lam
 
 
 def gradient_covariance_trace_hc(state: ModelState, batch: Batch) -> float:
@@ -114,21 +103,23 @@ def _eta_squared(eta: float) -> float:
 
 
 def estimate_r(
-    trace_hc: float, n: int, p: float, eta: float
+    trace_hc: float, n: int, m: int, eta: float
 ) -> tuple[float, float]:
-    """(lam, R): lam = (1-p)/p and R = eta^2/(2N) * lam * Tr(HC), from a
-    trace already computed.
+    """(lam, R) for steps on a uniform size-m subset of N rows: lam = (N-m)/m
+    and R = eta^2/(2N) * lam * Tr(HC), from a trace already computed.
 
-    Tr(HC) does not depend on p, so one trace serves every ratio. At p = 1
-    (full data) every step is the full-batch step and lam = R = 0.
+    A size-m subset's mean gradient has covariance (N-m)/(m N) * C, so lam is
+    exact at every m, and equals (1-p)/p at m = pN. Tr(HC) does not depend
+    on m, so one trace serves every size. At m = N (full data) every step is
+    the full-batch step and lam = R = 0.
     """
     if not eta > 0.0:
         raise ParameterDomainError(f"eta must be > 0, got {eta}")
-    if n < 1:
-        raise ParameterDomainError(f"n must be >= 1, got {n}")
-    if p == 1.0:
+    if not 1 <= m <= n:
+        raise ParameterDomainError(f"subset size must be in [1, {n}], got {m}")
+    if m == n:
         return 0.0, 0.0
-    lam = lambda_factor(p)
+    lam = (n - m) / m
     return lam, _eta_squared(eta) / (2.0 * n) * lam * trace_hc
 
 
@@ -148,7 +139,7 @@ def verify_one_step_expansion(
     step with the subset-mean gradient, and evaluates the full-data loss. The
     report compares the MC mean against
     L - eta*||grad L||^2 + eta^2/2 * grad L^T H grad L + R, with R taken at
-    the realized ratio m/N (reported as realized_ratio), which is exact in
+    the same m (m/N is reported as realized_ratio), which is exact in
     expectation for the quadratic model. Everything but the trials and R is
     computed once per call, since it does not depend on p. Trial i owns
     generator subseed(seed, "trial.i") and draws one permutation, whose first
@@ -174,10 +165,8 @@ def verify_one_step_expansion(
             + 0.5 * _eta_squared(eta) * float(grad @ hg)
         )
         trace_hc = gradient_covariance_trace_hc(state, batch)
-        # the trials step with m rows, so the subset-mean gradient's
-        # covariance carries (N-m)/m, which (1-p)/p equals only when pN is
-        # whole; computed before the trials, so a bad eta fails before them
-        r_terms = [estimate_r(trace_hc, n, m / n, eta) for m in sizes]
+        # computed before the trials, so a bad eta fails before them
+        r_terms = [estimate_r(trace_hc, n, m, eta) for m in sizes]
         grads = per_sample_gradients(state, batch)
 
         losses = np.empty((len(ratios), trials))

@@ -108,18 +108,19 @@ def run_training(cfg: RunConfig) -> TrainResult:
         for epoch in range(cfg.epochs):
             p_t = traj.ratio_at(epoch)
             eta = cfg.learning_rate_at(epoch)
-            probing = cfg.probe_every > 0 and epoch % cfg.probe_every == 0
+            # a fresh sorted array, shuffled in place into the visiting order
+            order = policy(memory, p_t, rng_select)
+            rng_shuffle.shuffle(order)
+            n_selected = order.shape[0]
             r_estimate = None
-            if probing:
+            if cfg.probe_every > 0 and epoch % cfg.probe_every == 0:
                 # looked up on the module at each call, so that oscibench's span
                 # tracer, which patches regprobe's globals, counts these traces
                 trace_hc = regprobe.gradient_covariance_trace_hc(state, train)
                 snapshots.append((epoch, state.theta.copy(), trace_hc))
-                _, r_estimate = estimate_r(trace_hc, train.n, p_t, eta)
+                # at the size the epoch trains on, which the ledger records
+                _, r_estimate = estimate_r(trace_hc, train.n, n_selected, eta)
 
-            # a fresh sorted array, shuffled in place into the visiting order
-            order = policy(memory, p_t, rng_select)
-            rng_shuffle.shuffle(order)
             loss_sum = 0.0
             # pre-update forward losses of the epoch, aligned with order; the
             # memory takes them in one update after the last step, which is the
@@ -138,8 +139,6 @@ def run_training(cfg: RunConfig) -> TrainResult:
                     g = velocity
                 state = ModelState(state.arch, state.theta - eta * g)
             memory = update_losses(memory, order, epoch_losses, epoch)
-
-            n_selected = order.shape[0]
             ledger.record_epoch(n_selected)
             if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
                 test_loss, test_acc = evaluate(state, test)

@@ -22,8 +22,8 @@ from oscisel.models import (
     per_sample_gradients,
 )
 from oscisel.regprobe import (
+    estimate_r,
     gradient_covariance_trace_hc,
-    lambda_factor,
     verify_one_step_expansion,
 )
 from oscisel.schedule import RatioTrajectory, derive_params
@@ -161,9 +161,10 @@ def test_criterion_4_one_step_prediction():
 def test_criterion_5_penalty_monotonicity():
     start = time.monotonic()
     grid = [i / 100 for i in range(1, 100)]
-    lams = [lambda_factor(p) for p in grid]
-    strict = all(a > b for a, b in zip(lams, lams[1:]))
     state, batch = quadratic_instance()
+    n = batch.size
+    lams = [estimate_r(1.0, n, subset_size(p, n), 0.05)[0] for p in grid]
+    strict = all(a > b for a, b in zip(lams, lams[1:]))
     # shared seed => per-trial subsets are nested prefixes: paired comparison
     lo = verify_one_step_expansion(state, batch, [0.25], 0.05, 10_000, seed=11)[0]
     hi = verify_one_step_expansion(state, batch, [0.75], 0.05, 10_000, seed=11)[0]

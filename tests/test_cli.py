@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import struct
 import subprocess
@@ -15,6 +16,7 @@ import oscisel.trainer
 from oscisel.cli import main
 from oscisel.config import load_config, parse_config
 from oscisel.errors import ConfigError, NumericError
+from oscisel.models import ModelState
 from oscisel.rng import subseed
 
 
@@ -466,7 +468,7 @@ def test_verify_computes_one_trace_and_one_subset_per_trial(tmp_path, monkeypatc
     assert rows[0]["trace_hc"] == rows[1]["trace_hc"]
 
 
-@pytest.mark.parametrize("ratios", ["0.5,1.5", "0.0", "1.0", "nan"])
+@pytest.mark.parametrize("ratios", ["0.5,1.5", "0.0", "nan"])
 def test_probe_rejects_bad_ratios_before_training(tmp_path, monkeypatch, capsys,
                                                    ratios):
     def no_training(cfg):
@@ -475,8 +477,17 @@ def test_probe_rejects_bad_ratios_before_training(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(oscisel.cli, "run_training", no_training)
     cfg = write_config(tmp_path, base_config(tmp_path / "probe"))
     assert main(["probe", "--config", str(cfg), "--p", ratios]) == 1
-    assert "(0, 1)" in capsys.readouterr().err
+    assert "(0, 1]" in capsys.readouterr().err
     assert not (tmp_path / "probe" / "regprobe.jsonl").exists()
+
+
+def test_probe_at_full_data_reports_r_zero(tmp_path):
+    # p = 1 is in the domain of selection, verify and a fixed-mode run
+    cfg = write_config(tmp_path, base_config(tmp_path / "probe", epochs=2))
+    assert main(["probe", "--config", str(cfg), "--p", "1.0"]) == 0
+    rows = [json.loads(line) for line in
+            (tmp_path / "probe" / "regprobe.jsonl").read_text().splitlines()]
+    assert [(row["m"], row["lambda"], row["R"]) for row in rows] == [(120, 0.0, 0.0)] * 2
 
 
 # every file each command writes into its output directory
@@ -1024,42 +1035,64 @@ def test_label_noise_on_fewer_than_two_classes_is_a_usage_error(tmp_path, capsys
     assert not (tmp_path / "run").exists()
 
 
-def test_a_probe_ratio_whose_lambda_overflows_fails_before_training(tmp_path,
-                                                                   monkeypatch,
-                                                                   capsys):
-    def no_training(cfg):
-        raise AssertionError("run_training called")
-
-    monkeypatch.setattr(oscisel.cli, "run_training", no_training)
-    cfg = write_config(tmp_path, base_config(tmp_path / "probe"))
-    assert main(["probe", "--config", str(cfg), "--p", "0.5,1e-310"]) == 1
-    assert (capsys.readouterr().err
-            == "error: p=1e-310 is too small: (1-p)/p overflows\n")
-    assert not (tmp_path / "probe").exists()
+def test_a_probe_ratio_below_one_row_takes_one_row(tmp_path):
+    # (1-p)/p overflows at p = 1e-310, but the subset holds one row, so
+    # lambda is N - 1
+    cfg = write_config(tmp_path, base_config(tmp_path / "probe", epochs=2))
+    assert main(["probe", "--config", str(cfg), "--p", "0.5,1e-310"]) == 0
+    rows = [json.loads(line) for line in
+            (tmp_path / "probe" / "regprobe.jsonl").read_text().splitlines()]
+    assert [(row["p"], row["m"], row["lambda"]) for row in rows] == [
+        (0.5, 60, 1.0), (0.5, 60, 1.0), (1e-310, 1, 119.0), (1e-310, 1, 119.0)]
+    assert all(math.isfinite(row["R"]) and row["R"] != 0.0 for row in rows)
 
 
-def test_a_run_ratio_whose_lambda_overflows_fails_before_any_step(tmp_path,
-                                                                 monkeypatch,
-                                                                 capsys):
-    def no_step(*args, **kwargs):
-        raise AssertionError("a step ran")
-
-    monkeypatch.setattr(oscisel.trainer, "mean_gradient", no_step)
+def test_a_run_ratio_below_one_row_trains_one_row(tmp_path):
     doc = base_config(tmp_path / "run", schedule_mode="fixed", target_ratio=1e-310,
-                      probe_every=1)
-    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 1
-    assert (capsys.readouterr().err
-            == "error: p=1e-310 is too small: (1-p)/p overflows\n")
-    assert not (tmp_path / "run").exists()
+                      probe_every=1, epochs=2)
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 0
+    metrics = [json.loads(line) for line in
+               (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()]
+    assert [m["n_selected"] for m in metrics] == [1, 1]
+    assert all(math.isfinite(m["R_estimate"]) and m["R_estimate"] != 0.0
+               for m in metrics)
+
+
+def test_r_estimate_is_taken_at_the_rows_the_epoch_trains_on(tmp_path):
+    # 0.33 of 50 rows selects 16, whose lambda is (50-16)/16 = 2.125, not
+    # (1-p)/p = 2.03: the run, verify and probe agree on R to the bit
+    doc = base_config(
+        tmp_path / "probe",
+        dataset={"kind": "gauss_linear", "n_train": 50, "d_in": 4, "noise": 0.5},
+        model={"kind": "quadratic"},
+        learning_rate=0.05, schedule_mode="fixed", target_ratio=0.33,
+        probe_every=1, epochs=2,
+    )
+    cfg = write_config(tmp_path, doc)
+    run = load_config(cfg).run
+    result = oscisel.trainer.run_training(run)
+    first = result.metrics[0]
+    assert (first.p_t, first.n_selected) == (0.33, 16)
+    epoch, theta, _ = result.snapshots[0]
+    train, _ = oscisel.trainer.build_datasets(run)
+    state = ModelState(oscisel.trainer.build_model(run, train).arch, theta)
+    [report] = oscisel.regprobe.verify_one_step_expansion(
+        state, train, [first.p_t], run.learning_rate, 2)
+    assert (report["m"], report["lambda"]) == (16, 2.125)
+    assert first.R_estimate == report["r_term"]
+    assert main(["probe", "--config", str(cfg), "--p", repr(first.p_t)]) == 0
+    rows = [json.loads(line) for line in
+            (tmp_path / "probe" / "regprobe.jsonl").read_text().splitlines()]
+    assert (rows[epoch]["m"], rows[epoch]["R"]) == (16, first.R_estimate)
 
 
 def test_a_probe_record_that_cannot_be_written_leaves_no_file(tmp_path,
                                                              monkeypatch, capsys):
     real = oscisel.cli.estimate_r
 
-    def inf_at_the_second_ratio(trace_hc, n, p, eta):
-        lam, r = real(trace_hc, n, p, eta)
-        return lam, (float("inf") if p == 0.25 else r)
+    def inf_at_the_second_ratio(trace_hc, n, m, eta):
+        lam, r = real(trace_hc, n, m, eta)
+        return lam, (float("inf") if m == 30 else r)
 
     monkeypatch.setattr(oscisel.cli, "estimate_r", inf_at_the_second_ratio)
     cfg = write_config(tmp_path, base_config(tmp_path / "probe", epochs=2))

@@ -1,7 +1,8 @@
 """The modules of src/oscisel import one another without a cycle, and
 config, which defines a run, imports neither the trainer nor the CLI. Only
 data, whose DATASETS table states each dataset kind once, names one, and
-the trainer names no run-config choice.
+the trainer names no run-config choice. Every name the package exports is
+used by the package or a demo, not only by its own unit tests.
 
 The imports and string literals are read from the source with ast.
 """
@@ -13,7 +14,8 @@ from oscisel.data import DATASETS
 from oscisel.models import MODELS
 from oscisel.selection import POLICIES
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oscisel"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "oscisel"
 
 
 def _imports() -> dict[str, set[str]]:
@@ -86,3 +88,23 @@ def test_the_trainer_names_no_run_config_choice():
                | set(MODELS) | set().union(*MODELS.values()) | set(DATASETS))
     named = _named([PACKAGE / "trainer.py"], choices)
     assert named == [], f"run-config choices named in trainer.py: {named}"
+
+
+def test_every_export_is_used_outside_its_own_tests():
+    init = PACKAGE / "__init__.py"
+    exports = {alias.name for node in ast.walk(ast.parse(init.read_text()))
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert exports, "oscisel/__init__.py exports nothing"
+    # a use is a name or an attribute read; a def or class statement, and
+    # an import, name a symbol without using it
+    used = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("**/*.py")]:
+        if path == init:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(exports - used)
+    assert unused == [], f"exported, but unused in src/oscisel and demos/: {unused}"

@@ -3,10 +3,11 @@
 Each test states an invariant for every input Hypothesis can build, not only
 for grid points: prefix budget safety of the schedule under the subset floor,
 soundness of the budget ledger, the bounds of the subset size, the
-hard-mining order, the OSDS file round trip, a portable stream that does
-not depend on how its words are drawn, a lane jump that equals its single
-steps, the one-step identity that the implicit regularizer rests on,
-stacked model kernels that compute what one call per theta does, rows the
+regularizer's factor (N-m)/m at every subset size, the hard-mining order,
+the OSDS file round trip, a portable stream that does not depend on how its
+words are drawn, a lane jump that equals its single steps, the one-step
+identity that the implicit regularizer rests on, stacked model kernels that
+compute what one call per theta does, rows the
 finite-difference HVP leaves unmarked that keep every ReLU gate across its
 step, and whole training runs that are bit-reproducible, budget-safe and
 write the loss memory only where they selected.
@@ -16,6 +17,7 @@ import itertools
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -46,7 +48,7 @@ from oscisel.models import (  # noqa: E402
     mean_loss,
     per_sample_gradients,
 )
-from oscisel.regprobe import verify_one_step_expansion  # noqa: E402
+from oscisel.regprobe import estimate_r, verify_one_step_expansion  # noqa: E402
 from oscisel.rng import _LANE, _LANE_MIN, PortableRNG, _jump  # noqa: E402
 from oscisel.schedule import RatioTrajectory, derive_params  # noqa: E402
 from oscisel.selection import (  # noqa: E402
@@ -116,6 +118,19 @@ def test_subset_size_bounds(p, q, n):
 def test_subset_size_rejects_ratios_outside_the_domain(p):
     with pytest.raises(ParameterDomainError):
         subset_size(p, 10)
+
+
+@given(data=st.data(), n=st.integers(min_value=1, max_value=10**6),
+       trace=st.sampled_from([2.5, -2.5]))
+def test_lambda_is_exact_and_strictly_decreasing_in_the_subset_size(data, n, trace):
+    sizes = st.integers(min_value=1, max_value=n)
+    m, k = data.draw(sizes), data.draw(sizes)
+    lam, r = estimate_r(trace, n, m, 0.1)
+    # the float nearest (N-m)/m, whose rounding is Fraction's, not ours
+    assert lam == float(Fraction(n - m, m))
+    assert ((lam, r) == (0.0, 0.0)) == (m == n)
+    lam_k = estimate_r(trace, n, k, 0.1)[0]
+    assert (lam_k < lam) == (k > m) and (lam_k > lam) == (k < m)
 
 
 @given(

@@ -24,7 +24,6 @@ from oscisel.models import (
 from oscisel.regprobe import (
     estimate_r,
     gradient_covariance_trace_hc,
-    lambda_factor,
     verify_one_step_expansion,
 )
 from oscisel.rng import subseed
@@ -45,22 +44,15 @@ def dense_trace_oracle(state, batch, hessian):
 
 
 def test_lambda_values_and_monotonicity():
-    assert lambda_factor(0.5) == 1.0
-    assert lambda_factor(0.05) == pytest.approx(19.0)
-    grid = np.linspace(0.01, 0.99, 99)
-    lams = [lambda_factor(p) for p in grid]
+    assert estimate_r(1.0, 100, 50, 0.1)[0] == 1.0
+    assert estimate_r(1.0, 100, 5, 0.1)[0] == 19.0  # (1-p)/p at p = 0.05
+    lams = [estimate_r(1.0, 100, m, 0.1)[0] for m in range(1, 101)]
+    assert lams[0] == 99.0 and lams[-1] == 0.0
     assert all(a > b for a, b in zip(lams, lams[1:]))
-    with pytest.raises(ParameterDomainError):
-        lambda_factor(0.0)
-    with pytest.raises(ParameterDomainError):
-        lambda_factor(1.0)
-
-
-@pytest.mark.parametrize("p", [1e-310, np.float64(1e-310)], ids=["float", "float64"])
-def test_a_ratio_whose_lambda_overflows_is_out_of_the_domain(p):
-    with pytest.raises(ParameterDomainError,
-                       match=r"^p=1e-310 is too small: \(1-p\)/p overflows$"):
-        lambda_factor(p)
+    for m in (0, 101):
+        with pytest.raises(ParameterDomainError,
+                           match=rf"^subset size must be in \[1, 100\], got {m}$"):
+            estimate_r(1.0, 100, m, 0.1)
 
 
 def test_trace_hc_quadratic_dense_oracle():
@@ -260,31 +252,32 @@ def test_trace_hc_degenerate_error():
 
 
 def test_estimate_r_assembly_and_scaling():
-    lam, r = estimate_r(2.5, 120, 0.5, 0.01)
+    lam, r = estimate_r(2.5, 120, 60, 0.01)
     assert lam == 1.0
     assert r == 0.01**2 / (2 * 120) * lam * 2.5
-    # exact proportionality in eta^2 and in lambda(p)
-    _, r2 = estimate_r(2.5, 120, 0.5, 0.02)
+    # exact proportionality in eta^2 and in lambda(m)
+    _, r2 = estimate_r(2.5, 120, 60, 0.02)
     assert r2 == pytest.approx(4.0 * r, rel=1e-12)
-    _, r19 = estimate_r(2.5, 120, 0.05, 0.01)
+    _, r19 = estimate_r(2.5, 120, 6, 0.01)
     assert r19 == pytest.approx(19.0 * r, rel=1e-12)
     with pytest.raises(ParameterDomainError):
-        estimate_r(2.5, 120, 0.5, 0.0)
+        estimate_r(2.5, 120, 60, 0.0)
     with pytest.raises(ParameterDomainError):
-        estimate_r(2.5, 0, 0.5, 0.01)
+        estimate_r(2.5, 0, 1, 0.01)
 
 
 def test_estimate_r_full_data_limit():
-    _, r = estimate_r(2.5, 120, 1.0 - 1e-9, 0.01)
-    assert abs(r) < 1e-11
-    # p = 1 is the limit itself, whatever the sign of the trace
+    n = 10**6
+    _, r = estimate_r(2.5, n, n - 1, 0.01)
+    assert 0.0 < r < 1e-11
+    # m = N is the limit itself, whatever the sign of the trace
     for trace in (2.5, -2.5):
-        lam, r = estimate_r(trace, 120, 1.0, 0.01)
+        lam, r = estimate_r(trace, 120, 120, 0.01)
         assert (lam, r) == (0.0, 0.0)
         assert math.copysign(1.0, r) == 1.0
-    for p in (0.0, 1.5):
+    for m in (0, 121):
         with pytest.raises(ParameterDomainError):
-            estimate_r(2.5, 120, p, 0.01)
+            estimate_r(2.5, 120, m, 0.01)
 
 
 def test_one_step_expansion_quadratic_3se():
@@ -354,11 +347,11 @@ def test_eta_whose_square_overflows_is_a_numeric_error(eta):
     state, batch = quadratic_setup(n=50, d=4)
     message = "^" + re.escape(f"eta**2 overflows float64 at eta={eta}") + "$"
     with pytest.raises(NumericError, match=message):
-        estimate_r(1.0, 50, 0.5, eta)
+        estimate_r(1.0, 50, 25, eta)
     # p = 1 has no R term, but the prediction's deterministic part takes eta**2
     with pytest.raises(NumericError, match=message):
         verify_one_step_expansion(state, batch, [1.0], eta, 2)
-    assert estimate_r(1.0, 50, 0.5, 1.3e154)[1] == 1.3e154**2 / 100.0
+    assert estimate_r(1.0, 50, 25, 1.3e154)[1] == 1.3e154**2 / 100.0
 
 
 def small_instances():
@@ -418,7 +411,7 @@ def test_verify_below_one_row_per_ratio_takes_one_row(kind):
     p = 0.5 / n  # floor(pN) = 0
     report = verify_one_step_expansion(state, batch, [p], 0.05, 19, seed=3)[0]
     assert report["m"] == 1 and report["realized_ratio"] == 1 / n
-    assert report["lambda"] == lambda_factor(1 / n)
+    assert report["lambda"] == n - 1
     reference = one_trial_at_a_time(state, batch, p, 0.05, 19, seed=3)
     np.testing.assert_allclose(report["trial_losses"], reference,
                                rtol=1e-12, atol=0.0)

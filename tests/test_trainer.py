@@ -241,7 +241,8 @@ def test_probe_every_populates_r_estimates():
     assert [e for e, _, _ in result.snapshots] == [0, 2]
     n = build_datasets(cfg)[0].n
     for m, (_, _, trace_hc) in zip(probed, result.snapshots):
-        assert m.R_estimate == estimate_r(trace_hc, n, m.p_t, cfg.learning_rate)[1]
+        assert m.R_estimate == estimate_r(trace_hc, n, m.n_selected,
+                                          cfg.learning_rate)[1]
 
 
 def test_snapshot_trace_is_the_trace_at_its_theta():
