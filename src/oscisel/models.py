@@ -3,12 +3,14 @@
 Three architectures: multinomial logistic regression, one-hidden-layer ReLU
 MLP (both cross-entropy), and quadratic least-squares. Gradients are
 closed-form backprop, double precision throughout; ``mean_gradient`` can also
-hand back the per-sample losses of its forward pass. Hessian-vector products
-use symmetric finite differences of the mean gradient, which is exact (up to
-rounding) for the quadratic model: one call takes any number of directions
-and evaluates the gradient at theta + r v and theta - r v for half a stack
-of directions at a time as one stack of thetas. The difference is linear in
-its direction only on the rows where the step cannot carry a ReLU
+hand back the per-sample losses of its forward pass. ``hessian`` forms the
+mean-loss Hessian in closed form: the Gauss–Newton part, plus the ReLU MLP's
+cross term between its two layers, summed over blocks of rows. Hessian-vector
+products use symmetric finite differences of the mean gradient, which is
+exact (up to rounding) for the quadratic model: one call takes any number of
+directions and evaluates the gradient at theta + r v and theta - r v for half
+a stack of directions at a time as one stack of thetas. The difference is
+linear in its direction only on the rows where the step cannot carry a ReLU
 pre-activation across 0; fd_kink_rows marks the others.
 
 One theta, which training and evaluation read, runs row-major: each layer's
@@ -53,6 +55,21 @@ from .rng import PortableRNG
 # no resolvable wall_ref gain (2-vCPU Xeon, OpenBLAS 1 thread, medians of 3-4
 # processes). Each theta's result is its own, so it changes no value.
 _STACK = 8
+
+# Rows per block of the Tr(HC) trace's two row sums, hessian's H and
+# regprobe's DᵀD Gram, set by memory: a product over all N rows has OpenBLAS
+# pack blocks of both operands into its work buffer, and H's temporaries
+# grow with the rows; their pages stay resident for the process. Peak RSS
+# of 5 operations in one process at 32/64/128/all rows, medians of 3
+# processes: moons-probe (MLP-32, N = 500) 36.78/36.89/37.04/40.66 MB and
+# blobs-verify (P = 170, N = 600) 38.93/39.04/39.20/40.11 MB, against
+# 36.96 and 38.98 MB with H from P basis finite-difference HVPs.
+# One trace took 13.4/12.0/9.9/10.9 ms (moons-probe) and 5.0/5.2/3.6/2.6 ms
+# (blobs-verify; 2-vCPU Xeon, OpenBLAS 1 thread, medians of 20 calls, 3
+# processes). In oscibench's 30 s runs peak RSS still read 0.2-0.3 MB above
+# the old trace's at 64 rows and 0.1-0.2 MB at 32; 64 keeps most of the
+# time saved.
+_ROW_BLOCK = 64
 
 # Floats a stacked hessian_vector_product call holds per theta-shaped or
 # layer-shaped array when that is more than _STACK thetas: on the one or two
@@ -384,6 +401,74 @@ def per_sample_gradients(state: ModelState, batch: Batch) -> np.ndarray:
         np.multiply(inputs[:, :, None], delta[:, None, :], out=slot[:, :-1])
         slot[:, -1] = delta
     return grads
+
+
+def hessian(state: ModelState, batch: Batch) -> np.ndarray:
+    """The batch-mean loss's Hessian (d, d) in closed form, summed over
+    blocks of _ROW_BLOCK rows, so no Jacobian of the whole batch is held.
+
+    Quadratic: XᵀX / m. A classifier's is the Gauss–Newton part
+    (1/m) Σ_i J_iᵀ A_i J_i, with J_i the Jacobian of row i's scores and
+    A_i = diag p_i − p_i p_iᵀ, plus the MLP's cross term: ReLU'' is 0 off
+    its kink, so the scores' own curvature, weighted by δ_i = p_i − onehot,
+    joins only W1[k, j] and W2[j, c], as (1/m) Σ_i δ_ic·1[z_ij > 0]·x̃_ik.
+
+    Layer a's row of J_i for class c is [input; 1] ⊗ E_a[:, c], with E the
+    identity at the last layer and diag(1[z > 0])·W2's weight rows at the
+    hidden one. The p_i p_iᵀ half of A is −VᵀV, V_i = J_iᵀ p_i, which is
+    the per-sample gradient with p_i in δ_i's place. Of the diag p_i half,
+    a last-layer row meets only its own class: that block is the Kronecker
+    form Σ_i ũ_i ũ_iᵀ ⊗ diag p_i, ũ_i = [input; 1] of the last layer (x̃_i
+    for logistic regression). Each pair of layers is written through
+    _blocks on both axes, as a (fan_in_a + 1, fan_out_a, fan_in_b + 1,
+    fan_out_b) view of H; the hidden-last pair is summed below the diagonal
+    and mirrored once at the end.
+    """
+    check_batch(state, batch)
+    arch, d = state.arch, state.arch.param_count
+    h = np.zeros((d, d))
+    pairs = [_blocks(arch, rows.transpose(1, 2, 0)) for rows in _blocks(arch, h.T)]
+    for start in range(0, batch.size, _ROW_BLOCK):
+        rows = Batch(batch.inputs[start : start + _ROW_BLOCK],
+                     batch.labels[start : start + _ROW_BLOCK])
+        if arch.kind == "quadratic":
+            h += rows.inputs.T @ rows.inputs
+        else:
+            _add_hessian_rows(arch, state.theta, rows, h, pairs)
+    if len(pairs) == 2:
+        pairs[0][1][...] = pairs[1][0].transpose(2, 3, 0, 1)
+    h /= batch.size
+    return h
+
+
+def _add_hessian_rows(arch: Arch, theta: np.ndarray, batch: Batch,
+                      h: np.ndarray, pairs: list) -> None:
+    """Add the summed Hessian of a classifier's rows into h, whose layer
+    pairs pairs views; the hidden-last pair only below the diagonal."""
+    m, classes = batch.size, np.arange(arch.classes)
+    scores, blocks, inputs = _forward(arch, theta, batch.inputs)
+    p = np.exp(_log_softmax(scores))
+    ones = np.ones((m, 1))
+    inputs = [np.hstack([a, ones]) for a in inputs]  # [input; 1] per layer
+    v = np.empty((m, arch.param_count))  # V_i = J_iᵀ p_i
+    slots = _blocks(arch, v)
+    last = np.multiply(inputs[-1][:, :, None], p[:, None, :], out=slots[-1])
+    kron = (last.reshape(m, -1).T @ inputs[-1]).reshape(*last.shape[1:], -1)
+    pairs[-1][-1][:, classes, :, classes] += kron.transpose(1, 0, 2)
+    if len(blocks) == 2:
+        w, gate = blocks[1][:-1], inputs[1][:, :-1] > 0
+        xg = inputs[0][:, :, None] * gate[:, None, :]  # x̃_k·1[z_j > 0]
+        jac = xg[:, None] * w.T[:, None, :]  # (m, classes, d_in + 1, hidden)
+        pjac = p[:, :, None, None] * jac
+        pjac.sum(axis=1, out=slots[0])
+        pairs[0][0] += np.tensordot(pjac, jac, axes=([0, 1], [0, 1]))
+        pairs[1][0] += np.tensordot(inputs[1], pjac, axes=(0, 0))
+        delta = p
+        delta[np.arange(m), batch.labels] -= 1.0
+        hidden = np.arange(w.shape[0])  # W2's row j meets W1's column j
+        cross = np.tensordot(xg, delta, axes=(0, 0))  # (d_in + 1, hidden, classes)
+        pairs[1][0][hidden, :, :, hidden] += cross.transpose(1, 2, 0)
+    h -= v.T @ v
 
 
 # hessian_vector_product's step: r = _HVP_DELTA / max(||v||, 1), so theta

@@ -6,16 +6,16 @@ covariance (1/(N-1) normalization, which makes the one-step identity exact
 under uniform sampling without replacement). R is taken at the subset size
 m = selection.subset_size(p, N) = max(1, floor(pN)) that an epoch at ratio
 p trains on, so its (1-p)/p is (N-m)/m, from integers. With P parameters
-and N rows, Tr(HC) takes H from P basis Hessian-vector products when
-2P <= N, and otherwise hands the N centred per-sample gradients to one
-product call. It verifies the second-order one-step prediction against
-Monte-Carlo subset draws. The verification takes a list of ratios: the loss,
-gradient, H grad, Tr(HC) and per-sample gradients are computed once for all
-of them, each trial's subset is drawn once and shared across ratios as
-nested prefixes, and the trials' stepped losses are evaluated _STACK
-stacked thetas per forward pass, which runs class-major (scores of shape
-(K, classes, N); see models._losses). The trials take those m rows, and the
-prediction takes R at the same m.
+and N rows, Tr(HC) takes H in closed form (models.hessian) when 2P <= N,
+and otherwise hands the N centred per-sample gradients to one
+finite-difference Hessian-vector product call. It verifies the second-order
+one-step prediction against Monte-Carlo subset draws. The verification
+takes a list of ratios: the loss, gradient, H grad, Tr(HC) and per-sample
+gradients are computed once for all of them, each trial's subset is drawn
+once and shared across ratios as nested prefixes, and the trials' stepped
+losses are evaluated _STACK stacked thetas per forward pass, which runs
+class-major (scores of shape (K, classes, N); see models._losses). The
+trials take those m rows, and the prediction takes R at the same m.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ from .models import (
     Batch,
     ModelState,
     _losses,
+    _ROW_BLOCK,
     _STACK,
     fd_kink_rows,
+    hessian,
     hessian_vector_product,
     mean_gradient,
     mean_loss,
@@ -40,32 +42,27 @@ from .models import (
 from .rng import subseed
 from .selection import subset_size
 
-# Rows per product of the trace's D^T D. One product over all N rows has
-# OpenBLAS pack blocks of both operands into its work buffer, whose pages
-# stay resident for the process: at P = 170, N = 600 that read 0.56 MB more
-# of blobs-verify's peak_rss_mb than 32-row blocks (medians of 3 runs,
-# 2-vCPU Xeon), and the blocks cost about 0.7 ms per trace at that size.
-_GRAM_ROWS = 32
-
 
 def gradient_covariance_trace_hc(state: ModelState, batch: Batch) -> float:
-    """Tr(H C) from finite-difference HVPs of the mean gradient.
+    """Tr(H C) of the batch-mean loss.
 
     Tr(HC) = 1/(N-1) * sum_i d_i^T H d_i, with d_i = g_i - gbar the
     deviations of the per-sample gradients over the full dataset, the rows
-    of D (N, P), and H (d_i) the finite-difference HVP. With 2P > N the N
-    deviations go to one hessian_vector_product call. Otherwise the sum is
-    <H, D^T D>, with H from P basis HVPs, fewer directions than N. The
-    difference is linear in its direction only on the rows that
-    models.fd_kink_rows leaves unmarked, S; the marked rows K keep one
-    difference per deviation, in one call over those rows:
+    of D (N, P). With 2P > N the N deviations go to one
+    hessian_vector_product call, whose finite-difference HVPs give H d_i.
+    Otherwise the sum is <H, D^T D>, with H from models.hessian in closed
+    form over the rows that models.fd_kink_rows leaves unmarked, S. On the
+    marked rows K a ReLU pre-activation lies within the difference's reach
+    of 0, and they keep one finite difference per deviation, in one call
+    over those rows, so the trace there is what the 2P > N path takes:
 
         Tr = [|S| <H_S, D^T D> + |K| sum_i d_i^T H_K d_i] / (N (N-1)),
 
     H_S and H_K the mean-loss Hessians over S and K. The two paths agree
     to the difference's O(r^2) truncation. Either holds at most two (N, P)
-    arrays: the deviations, centred in place, and the N deviation HVPs; the
-    basis HVPs run once D^T D is formed and the deviations are freed.
+    arrays: the deviations, centred in place, and the N deviation HVPs.
+    D^T D and H are summed over models._ROW_BLOCK rows at a time, and H is
+    formed once the deviations are freed.
     """
     n = batch.size
     if n < 2:
@@ -86,11 +83,11 @@ def gradient_covariance_trace_hc(state: ModelState, batch: Batch) -> float:
     if not kinked.all():
         rows = Batch(batch.inputs[~kinked], batch.labels[~kinked])
         gram = np.zeros((d, d))
-        for start in range(0, n, _GRAM_ROWS):
-            block = dev[start : start + _GRAM_ROWS]
+        for start in range(0, n, _ROW_BLOCK):
+            block = dev[start : start + _ROW_BLOCK]
             gram += block.T @ block
-        del dev, block  # the basis products run without the (N, P) array
-        h = hessian_vector_product(state, rows, np.eye(d))
+        del dev, block  # H is formed without the (N, P) array
+        h = hessian(state, rows)
         total += rows.size * float(np.einsum("ij,ij->", h, gram))
     return total / (n * (n - 1))
 

@@ -31,3 +31,21 @@ def rounding_scales(arch, theta, batch):
         grad = max(grad, (a.T @ delta).max() / m, delta.max())  # weights, bias
         delta = delta @ np.abs(wb[:-1]).T
     return grad, max(1.0, scores.max())
+
+
+def hessian_scale(arch, theta, batch):
+    """A bound on any one row's term in an entry of the closed-form Hessian,
+    which the rounding of models.hessian is counted in.
+
+    A quadratic term is x_k·x_l. A classifier's terms are products of two
+    Jacobian entries, [input; 1]_k·1[z_j > 0]·W2[j, c] or [input; 1]_k,
+    weighted by softmax entries of at most 1, and the MLP's cross term
+    [x; 1]_k weighted by |δ_c| <= 1. An entry of H can be far smaller than
+    its terms, where p_i is near one-hot and the two halves of A_i cancel.
+    """
+    if arch.kind == "quadratic":
+        return float((batch.inputs**2).max())
+    _, blocks, inputs = _forward(arch, theta, batch.inputs)
+    u = max([1.0, *(float(np.abs(a).max()) for a in inputs)])
+    w = max([1.0, *(float(np.abs(wb[:-1]).max()) for wb in blocks[1:])])
+    return (u * w) ** 2

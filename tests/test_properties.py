@@ -28,6 +28,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+import oscisel.models  # noqa: E402
 import oscisel.trainer  # noqa: E402
 from oscisel.data import Batch, Dataset, load_osds, save_osds  # noqa: E402
 from oscisel.errors import (  # noqa: E402
@@ -45,6 +46,7 @@ from oscisel.models import (  # noqa: E402
     _losses,
     _mean_gradient,
     fd_kink_rows,
+    hessian,
     mean_loss,
     per_sample_gradients,
 )
@@ -59,7 +61,7 @@ from oscisel.selection import (  # noqa: E402
     update_losses,
 )
 from oscisel.trainer import RunConfig, run_training  # noqa: E402
-from rounding import rounding_scales  # noqa: E402
+from rounding import hessian_scale, rounding_scales  # noqa: E402
 
 ratios = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 
@@ -287,6 +289,37 @@ def test_stacked_kernels_equal_one_call_per_theta(kind, d_in, hidden, classes, m
         assert np.abs(grad - single).max() <= 32 * np.spacing(grad_scale)
         single = _losses(arch, theta, batch)
         assert np.abs(loss - single).max() <= 8 * np.spacing(loss_scale)
+
+
+@given(
+    kind=st.sampled_from(["logistic", "mlp", "quadratic"]),
+    d_in=st.integers(min_value=1, max_value=4),
+    hidden=st.integers(min_value=1, max_value=8),
+    classes=st.integers(min_value=2, max_value=5),
+    m=st.integers(min_value=1, max_value=150),
+    row_block=st.integers(min_value=1, max_value=80),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_hessian_is_symmetric_and_a_row_weighted_mean_of_its_row_blocks(
+        kind, d_in, hidden, classes, m, row_block, data, seed):
+    # H sums rows in blocks of _ROW_BLOCK, so a row lost or counted twice at
+    # a block's edge, or a pair of layers written into the wrong slot, shows
+    arch = Arch(kind, d_in, hidden if kind == "mlp" else 0,
+                0 if kind == "quadratic" else classes)
+    rng = np.random.default_rng(seed)
+    labels = rng.normal(size=m) if kind == "quadratic" else rng.integers(0, classes, m)
+    batch = Batch(rng.normal(size=(m, d_in)), labels)
+    state = ModelState(arch, rng.normal(size=arch.param_count))
+    cuts = sorted(data.draw(st.lists(st.integers(1, m - 1), max_size=4))) if m > 1 else []
+    with mock.patch.object(oscisel.models, "_ROW_BLOCK", row_block):
+        h = hessian(state, batch)
+        parts = [Batch(x, y) for x, y in zip(np.split(batch.inputs, cuts),
+                                              np.split(batch.labels, cuts)) if len(x)]
+        mean = sum(part.size * hessian(state, part) for part in parts) / m
+    scale = hessian_scale(arch, state.theta, batch)
+    assert np.abs(h - h.T).max() <= 1e-12 * scale
+    assert np.abs(h - mean).max() <= 1e-12 * scale
 
 
 @given(
