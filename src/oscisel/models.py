@@ -4,14 +4,15 @@ Three architectures: multinomial logistic regression, one-hidden-layer ReLU
 MLP (both cross-entropy), and quadratic least-squares. Gradients are
 closed-form backprop, double precision throughout; ``mean_gradient`` can also
 hand back the per-sample losses of its forward pass. ``hessian`` forms the
-mean-loss Hessian in closed form: the Gauss–Newton part, plus the ReLU MLP's
-cross term between its two layers, summed over blocks of rows. Hessian-vector
-products use symmetric finite differences of the mean gradient, which is
-exact (up to rounding) for the quadratic model: one call takes any number of
-directions and evaluates the gradient at theta + r v and theta - r v for half
-a stack of directions at a time as one stack of thetas. The difference is
-linear in its direction only on the rows where the step cannot carry a ReLU
-pre-activation across 0; fd_kink_rows marks the others.
+mean-loss Hessian in closed form: the Gauss–Newton part, one UᵀU product per
+block of rows for the MLP and a Kronecker form for logistic regression, plus
+the MLP's cross term. Hessian-vector products use symmetric finite
+differences of the mean gradient, which is exact (up to rounding) for the
+quadratic model: one call takes any number of directions and evaluates the
+gradient at theta + r v and theta - r v for half a stack of directions at a
+time as one stack of thetas. The difference is linear in its direction only
+on the rows where the step cannot carry a ReLU pre-activation across 0;
+fd_kink_rows marks the others.
 
 One theta, which training and evaluation read, runs row-major: each layer's
 output is (m, width), its weights and bias applied in two passes. A stack of
@@ -56,19 +57,15 @@ from .rng import PortableRNG
 # processes). Each theta's result is its own, so it changes no value.
 _STACK = 8
 
-# Rows per block of the Tr(HC) trace's two row sums, hessian's H and
-# regprobe's DᵀD Gram, set by memory: a product over all N rows has OpenBLAS
-# pack blocks of both operands into its work buffer, and H's temporaries
-# grow with the rows; their pages stay resident for the process. Peak RSS
-# of 5 operations in one process at 32/64/128/all rows, medians of 3
-# processes: moons-probe (MLP-32, N = 500) 36.78/36.89/37.04/40.66 MB and
-# blobs-verify (P = 170, N = 600) 38.93/39.04/39.20/40.11 MB, against
-# 36.96 and 38.98 MB with H from P basis finite-difference HVPs.
-# One trace took 13.4/12.0/9.9/10.9 ms (moons-probe) and 5.0/5.2/3.6/2.6 ms
-# (blobs-verify; 2-vCPU Xeon, OpenBLAS 1 thread, medians of 20 calls, 3
-# processes). In oscibench's 30 s runs peak RSS still read 0.2-0.3 MB above
-# the old trace's at 64 rows and 0.1-0.2 MB at 32; 64 keeps most of the
-# time saved.
+# Rows per block of the Tr(HC) trace's two row sums, hessian's H and regprobe's
+# DᵀD Gram, set by memory: a product over all N rows has OpenBLAS pack blocks
+# of both operands into its work buffer, and H's temporaries grow with the
+# rows; their pages stay resident for the process. At 32/64/128/all rows, 5
+# operations in one process peaked at 36.80/36.98/37.32/39.37 MB RSS on
+# moons-probe (MLP-32, N = 500) and 39.12/39.24/39.32/40.34 MB on blobs-verify
+# (P = 170, N = 600), and one trace took 4.8/3.7/3.4/3.6 and 4.3/3.2/2.7/2.7 ms
+# (2-vCPU Xeon, OpenBLAS 1 thread, medians of 20 calls and of 3 processes): 64
+# rows keep most of the time for 0.1-0.2 MB over 32.
 _ROW_BLOCK = 64
 
 # Floats a stacked hessian_vector_product call holds per theta-shaped or
@@ -405,7 +402,8 @@ def per_sample_gradients(state: ModelState, batch: Batch) -> np.ndarray:
 
 def hessian(state: ModelState, batch: Batch) -> np.ndarray:
     """The batch-mean loss's Hessian (d, d) in closed form, summed over
-    blocks of _ROW_BLOCK rows, so no Jacobian of the whole batch is held.
+    blocks of _ROW_BLOCK rows through one (d, d) product buffer per call, so
+    no Jacobian of the whole batch is held.
 
     Quadratic: XᵀX / m. A classifier's is the Gauss–Newton part
     (1/m) Σ_i J_iᵀ A_i J_i, with J_i the Jacobian of row i's scores and
@@ -413,62 +411,64 @@ def hessian(state: ModelState, batch: Batch) -> np.ndarray:
     its kink, so the scores' own curvature, weighted by δ_i = p_i − onehot,
     joins only W1[k, j] and W2[j, c], as (1/m) Σ_i δ_ic·1[z_ij > 0]·x̃_ik.
 
-    Layer a's row of J_i for class c is [input; 1] ⊗ E_a[:, c], with E the
-    identity at the last layer and diag(1[z > 0])·W2's weight rows at the
-    hidden one. The p_i p_iᵀ half of A is −VᵀV, V_i = J_iᵀ p_i, which is
-    the per-sample gradient with p_i in δ_i's place. Of the diag p_i half,
-    a last-layer row meets only its own class: that block is the Kronecker
-    form Σ_i ũ_i ũ_iᵀ ⊗ diag p_i, ũ_i = [input; 1] of the last layer (x̃_i
-    for logistic regression). Each pair of layers is written through
-    _blocks on both axes, as a (fan_in_a + 1, fan_out_a, fan_in_b + 1,
-    fan_out_b) view of H; the hidden-last pair is summed below the diagonal
-    and mirrored once at the end.
+    J_i's row for class c, J_ic, is [input; 1] ⊗ E_a[:, c] in layer a's
+    _blocks slot, E the identity at the last layer and diag(1[z > 0])·W2's
+    weight rows at the hidden one. As Σ_c p_ic = 1, J_iᵀ A_i J_i =
+    Σ_c p_ic (J_ic − V_i)ᵀ(J_ic − V_i) with V_i = Σ_c p_ic J_ic, so an MLP
+    block is one symmetric UᵀU, U the class-major (classes·m, d) rows
+    √p_ic (J_ic − V_i). A logistic J_ic is x̃_i in class c's column alone,
+    so U would cost classes times J: its diag p half is the Kronecker form
+    Σ_i x̃_i x̃_iᵀ ⊗ diag p_i, and its p pᵀ half −VᵀV. That block, and the
+    cross term, summed over the blocks and added to both of its layer pairs
+    at the end, go through (fan_in_a + 1, fan_out_a, fan_in_b + 1,
+    fan_out_b) _blocks views of H.
     """
     check_batch(state, batch)
     arch, d = state.arch, state.arch.param_count
-    h = np.zeros((d, d))
+    h, prod, cross = np.zeros((d, d)), np.empty((d, d)), 0.0
     pairs = [_blocks(arch, rows.transpose(1, 2, 0)) for rows in _blocks(arch, h.T)]
+    u = np.empty(arch.classes * min(batch.size, _ROW_BLOCK) * d * (arch.kind == "mlp"))
     for start in range(0, batch.size, _ROW_BLOCK):
         rows = Batch(batch.inputs[start : start + _ROW_BLOCK],
                      batch.labels[start : start + _ROW_BLOCK])
         if arch.kind == "quadratic":
-            h += rows.inputs.T @ rows.inputs
+            h += np.matmul(rows.inputs.T, rows.inputs, out=prod)
         else:
-            _add_hessian_rows(arch, state.theta, rows, h, pairs)
+            cross += _add_hessian_rows(arch, state.theta, rows, h, prod, pairs, u)
     if len(pairs) == 2:
-        pairs[0][1][...] = pairs[1][0].transpose(2, 3, 0, 1)
+        hidden = np.arange(arch.hidden)  # W2's row j meets W1's column j
+        pairs[0][1][:, hidden, hidden] += cross
+        pairs[1][0][hidden, :, :, hidden] += cross.transpose(1, 2, 0)
     h /= batch.size
     return h
 
 
-def _add_hessian_rows(arch: Arch, theta: np.ndarray, batch: Batch,
-                      h: np.ndarray, pairs: list) -> None:
-    """Add the summed Hessian of a classifier's rows into h, whose layer
-    pairs pairs views; the hidden-last pair only below the diagonal."""
-    m, classes = batch.size, np.arange(arch.classes)
+def _add_hessian_rows(arch: Arch, theta: np.ndarray, batch: Batch, h: np.ndarray,
+                      prod: np.ndarray, pairs: list, u: np.ndarray):
+    """Add a classifier's rows' summed Gauss–Newton part into h, whose layer
+    pairs pairs views, through prod, and return the MLP's summed cross term
+    (d_in + 1, hidden, classes) or 0. The MLP's U fills the front of u."""
+    m, d, classes = batch.size, arch.param_count, np.arange(arch.classes)
     scores, blocks, inputs = _forward(arch, theta, batch.inputs)
     p = np.exp(_log_softmax(scores))
-    ones = np.ones((m, 1))
-    inputs = [np.hstack([a, ones]) for a in inputs]  # [input; 1] per layer
-    v = np.empty((m, arch.param_count))  # V_i = J_iᵀ p_i
-    slots = _blocks(arch, v)
-    last = np.multiply(inputs[-1][:, :, None], p[:, None, :], out=slots[-1])
-    kron = (last.reshape(m, -1).T @ inputs[-1]).reshape(*last.shape[1:], -1)
-    pairs[-1][-1][:, classes, :, classes] += kron.transpose(1, 0, 2)
-    if len(blocks) == 2:
-        w, gate = blocks[1][:-1], inputs[1][:, :-1] > 0
-        xg = inputs[0][:, :, None] * gate[:, None, :]  # x̃_k·1[z_j > 0]
-        jac = xg[:, None] * w.T[:, None, :]  # (m, classes, d_in + 1, hidden)
-        pjac = p[:, :, None, None] * jac
-        pjac.sum(axis=1, out=slots[0])
-        pairs[0][0] += np.tensordot(pjac, jac, axes=([0, 1], [0, 1]))
-        pairs[1][0] += np.tensordot(inputs[1], pjac, axes=(0, 0))
-        delta = p
-        delta[np.arange(m), batch.labels] -= 1.0
-        hidden = np.arange(w.shape[0])  # W2's row j meets W1's column j
-        cross = np.tensordot(xg, delta, axes=(0, 0))  # (d_in + 1, hidden, classes)
-        pairs[1][0][hidden, :, :, hidden] += cross.transpose(1, 2, 0)
-    h -= v.T @ v
+    inputs = [np.hstack([a, np.ones((m, 1))]) for a in inputs]  # [input; 1]
+    if len(blocks) == 1:
+        v = (inputs[0][:, :, None] * p[:, None, :]).reshape(m, -1)  # x̃_i ⊗ p_i
+        kron = (v.T @ inputs[0]).reshape(-1, arch.classes, inputs[0].shape[1])
+        pairs[0][0][:, classes, :, classes] += kron.transpose(1, 0, 2)
+        h -= np.matmul(v.T, v, out=prod)
+        return 0.0
+    xg = inputs[0][:, :, None] * (inputs[1][:, None, :-1] > 0)  # x̃_k·1[z_j > 0]
+    u = u[: arch.classes * m * d].reshape(arch.classes, m, d)
+    hidden, last = _blocks(arch, u)
+    np.multiply(xg, blocks[1][:-1].T[:, None, None, :], out=hidden)
+    last[...] = 0.0
+    last[classes, :, :, classes] = inputs[1]
+    u -= np.einsum("ic,cid->id", p, u)  # V_i
+    u *= np.sqrt(p.T)[:, :, None]
+    h += np.matmul(u.reshape(-1, d).T, u.reshape(-1, d), out=prod)  # UᵀU
+    p[np.arange(m), batch.labels] -= 1.0  # δ
+    return (xg.reshape(m, -1).T @ p).reshape(*xg.shape[1:], -1)
 
 
 # hessian_vector_product's step: r = _HVP_DELTA / max(||v||, 1), so theta

@@ -25,7 +25,7 @@ from oscisel.models import (
     per_sample_gradients,
 )
 from oscisel.rng import PortableRNG
-from rounding import rounding_scales
+from rounding import hessian_scale, rounding_scales
 
 ARCHS = [
     Arch("quadratic", 6),
@@ -257,6 +257,40 @@ def test_logistic_hessian_is_the_textbook_kronecker_form():
     order = np.arange(classes * inputs).reshape(classes, inputs).T.ravel()
     expected = textbook[np.ix_(order, order)]
     assert np.abs(hessian(state, batch) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_mlp_hessian_is_the_textbook_gauss_newton_form_plus_its_cross_term():
+    # each J_i is built from its formula, one class row at a time, and
+    # A_i = diag p_i - p_i p_iᵀ is applied as a (classes, classes) matrix
+    rng = np.random.default_rng(17)
+    arch = Arch("mlp", 3, hidden=5, classes=3)
+    state, batch = far_from_kinks(arch, rng)
+    w1, w2 = _blocks(arch, state.theta)
+    x1 = np.hstack([batch.inputs, np.ones((batch.size, 1))])
+    z = x1 @ w1
+    u1 = np.hstack([np.maximum(z, 0.0), np.ones((batch.size, 1))])
+    logits = u1 @ w2
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    d = arch.param_count
+    expected = np.zeros((d, d))
+    for xi, zi, ui, pi in zip(x1, z, u1, p):
+        jac = np.zeros((arch.classes, d))
+        for c, row in enumerate(jac):
+            hidden_slot, last_slot = _blocks(arch, row)
+            hidden_slot[...] = np.outer(xi, (zi > 0) * w2[:-1, c])
+            last_slot[:, c] = ui
+        expected += jac.T @ (np.diag(pi) - np.outer(pi, pi)) @ jac
+    # the scores' own curvature: d²s_c / dW1[k, j] dW2[j, c] = x̃_k·1[z_j > 0]
+    delta = p - (np.arange(arch.classes) == batch.labels[:, None])
+    index1, index2 = _blocks(arch, np.arange(d))
+    for k, j, c in np.ndindex(x1.shape[1], arch.hidden, arch.classes):
+        term = np.sum(delta[:, c] * (z[:, j] > 0) * x1[:, k])
+        expected[index1[k, j], index2[j, c]] += term
+        expected[index2[j, c], index1[k, j]] += term
+    expected /= batch.size
+    scale = hessian_scale(arch, state.theta, batch)
+    assert np.abs(hessian(state, batch) - expected).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.kind)

@@ -120,12 +120,14 @@ def trace_instances():
     """(state, batch) pairs for the trace's two paths. A 10-class logistic,
     an MLP-32 and a quadratic; with 2P > N for the first two, and then the
     basis path's: a 3-class logistic, an MLP-4 and a quadratic, with
-    2P <= N, and the MLP-4 with one pre-activation 1e-7 from its kink."""
+    2P <= N, the MLP-4 with one pre-activation 1e-7 from its kink, and a
+    3-class MLP-4."""
     rng = np.random.default_rng(27)
     logistic = Arch("logistic", 16, classes=10)
     mlp = Arch("mlp", 2, hidden=32, classes=2)
     small_logistic = Arch("logistic", 3, classes=3)  # P = 12, N = 90
     small_mlp = Arch("mlp", 2, hidden=4, classes=2)  # P = 22, N = 120
+    mlp3 = Arch("mlp", 2, hidden=4, classes=3)  # P = 27, N = 120
     basis_mlp = (
         ModelState(small_mlp, rng.normal(size=small_mlp.param_count)),
         gen_two_moons(120, 0.2, seed=31),
@@ -148,6 +150,10 @@ def trace_instances():
         "basis_quadratic": quadratic_setup(n=120, d=8, seed=33),
         "basis_kinked_mlp": (set_pre_activation(*basis_mlp, 0, 3, 1e-7),
                              basis_mlp[1]),
+        "basis_mlp3": (
+            ModelState(mlp3, rng.normal(size=mlp3.param_count)),
+            gen_blobs(3, 40, 2, 0.5, seed=34),
+        ),
     }
 
 
@@ -159,12 +165,15 @@ def test_trace_hc_equals_one_deviation_at_a_time(kind):
 
 
 @pytest.mark.parametrize(
-    "kind", ["basis_logistic", "basis_mlp", "basis_quadratic", "basis_kinked_mlp"]
+    "kind",
+    ["basis_logistic", "basis_mlp", "basis_quadratic", "basis_kinked_mlp",
+     "basis_mlp3"],
 )
 def test_basis_trace_hc_equals_one_deviation_at_a_time(kind):
-    # with 2P <= N, H comes from basis HVPs at step 1e-5 and the loop's
-    # deviations take 1e-5 / ||d_i||, so the two differ by the difference's
-    # O(r^2) truncation: measured at 1.1e-13 to 1.1e-11 relative
+    # with 2P <= N, H comes from models.hessian's closed form on unmarked
+    # rows, and the loop's deviations take finite differences at
+    # 1e-5 / ||d_i||, so the two differ by the difference's O(r^2)
+    # truncation: measured at 1.0e-13 to 1.4e-11 relative
     state, batch = trace_instances()[kind]
     assert 2 * state.arch.param_count <= batch.size
     trace = gradient_covariance_trace_hc(state, batch)
