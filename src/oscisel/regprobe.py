@@ -6,9 +6,9 @@ covariance (1/(N-1) normalization, which makes the one-step identity exact
 under uniform sampling without replacement). R is taken at the subset size
 m = selection.subset_size(p, N) = max(1, floor(pN)) that an epoch at ratio
 p trains on, so its (1-p)/p is (N-m)/m, from integers. With P parameters
-and N rows, Tr(HC) takes H in closed form (models.hessian) when 2P <= N,
-and otherwise hands the N centred per-sample gradients to one
-finite-difference Hessian-vector product call. It verifies the second-order
+and N rows, Tr(HC) takes H in closed form (models.hessian) on the rows
+clear of a ReLU kink when 2P <= N, and one finite-difference HVP call of
+the N centred gradients on the others. It verifies the second-order
 one-step prediction against Monte-Carlo subset draws. The verification
 takes a list of ratios: the loss, gradient, H grad, Tr(HC) and per-sample
 gradients are computed once for all of them, each trial's subset is drawn
@@ -48,21 +48,20 @@ def gradient_covariance_trace_hc(state: ModelState, batch: Batch) -> float:
 
     Tr(HC) = 1/(N-1) * sum_i d_i^T H d_i, with d_i = g_i - gbar the
     deviations of the per-sample gradients over the full dataset, the rows
-    of D (N, P). With 2P > N the N deviations go to one
-    hessian_vector_product call, whose finite-difference HVPs give H d_i.
-    Otherwise the sum is <H, D^T D>, with H from models.hessian in closed
-    form over the rows that models.fd_kink_rows leaves unmarked, S. On the
-    marked rows K a ReLU pre-activation lies within the difference's reach
-    of 0, and they keep one finite difference per deviation, in one call
-    over those rows, so the trace there is what the 2P > N path takes:
+    of D (N, P). Over the rows K every deviation goes to one
+    hessian_vector_product call, whose finite-difference HVPs give H_K d_i;
+    over the rest, S, the sum is <H_S, D^T D>, with H_S from models.hessian
+    in closed form:
 
         Tr = [|S| <H_S, D^T D> + |K| sum_i d_i^T H_K d_i] / (N (N-1)),
 
-    H_S and H_K the mean-loss Hessians over S and K. The two paths agree
-    to the difference's O(r^2) truncation. Either holds at most two (N, P)
-    arrays: the deviations, centred in place, and the N deviation HVPs.
-    D^T D and H are summed over models._ROW_BLOCK rows at a time, and H is
-    formed once the deviations are freed.
+    H_S and H_K the mean-loss Hessians over S and K. K is every row when
+    2P > N, and otherwise the rows models.fd_kink_rows marks, on which a
+    ReLU pre-activation lies within the difference's reach of 0; away from
+    a kink, any split gives the same trace up to the difference's O(r^2)
+    truncation. At most two (N, P) arrays are held: the deviations, centred
+    in place, and the N deviation HVPs. D^T D and H are summed over
+    models._ROW_BLOCK rows at a time, and H is formed once D is freed.
     """
     n = batch.size
     if n < 2:
@@ -70,18 +69,18 @@ def gradient_covariance_trace_hc(state: ModelState, batch: Batch) -> float:
     dev = per_sample_gradients(state, batch)
     dev -= dev.mean(axis=0)
     d = dev.shape[1]
-    if 2 * d > n:
-        hv = hessian_vector_product(state, batch, dev)
-        return float(np.einsum("kd,kd->", dev, hv)) / (n - 1)
-    kinked = fd_kink_rows(state, batch)
+    # with 2P > N, H, its product buffer and D^T D (3 P^2 floats) outgrow
+    # the N deviation HVPs (N P floats), so every row takes differences
+    fd_rows = np.ones(n, dtype=bool) if 2 * d > n else fd_kink_rows(state, batch)
     total = 0.0
-    if kinked.any():
-        rows = Batch(batch.inputs[kinked], batch.labels[kinked])
+    if fd_rows.any():
+        rows = (batch if fd_rows.all()
+                else Batch(batch.inputs[fd_rows], batch.labels[fd_rows]))
         hv = hessian_vector_product(state, rows, dev)
         total += rows.size * float(np.einsum("kd,kd->", dev, hv))
         del hv
-    if not kinked.all():
-        rows = Batch(batch.inputs[~kinked], batch.labels[~kinked])
+    if not fd_rows.all():
+        rows = Batch(batch.inputs[~fd_rows], batch.labels[~fd_rows])
         gram = np.zeros((d, d))
         for start in range(0, n, _ROW_BLOCK):
             block = dev[start : start + _ROW_BLOCK]
