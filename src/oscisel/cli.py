@@ -73,7 +73,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("run", help="train under a budgeted schedule")
     p.add_argument("--config", required=True)
 
-    p = sub.add_parser("probe", help="estimate R over saved training snapshots")
+    p = sub.add_parser("probe", help="retrain, taking Tr(HC) per probed epoch and R per ratio")
     p.add_argument("--config", required=True)
     p.add_argument("--p", required=True, help="comma-separated ratios")
 

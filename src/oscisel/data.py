@@ -124,12 +124,9 @@ def gen_two_moons(n: int, noise: float, seed: int, split: str = "train") -> Data
     _check_scale("noise", noise)
     n0 = (n + 1) // 2
     n1 = n - n0
-    if noise > 0.0:
-        # row-major draws: x then y noise of row 0, then of row 1, ...; the
-        # arcs are added onto them in place, so no second (n, 2) array is made
-        inputs = _scaled("noise", noise, PortableRNG(seed).normals(2 * n)).reshape(n, 2)
-    else:
-        inputs = np.zeros((n, 2))
+    # row-major draws: x then y noise of row 0, then of row 1, ...; the arcs
+    # are added onto them in place, so no second (n, 2) array is made
+    inputs = _scaled("noise", noise, PortableRNG(seed).normals(2 * n)).reshape(n, 2)
     labels = np.zeros(n, dtype=np.int64)
     t0 = np.linspace(0.0, math.pi, n0)
     inputs[:n0, 0] += np.cos(t0)
@@ -153,9 +150,7 @@ def gen_gauss_linear(
     rng = PortableRNG(seed)
     inputs = rng.normals(n * d_in).reshape(n, d_in)
     truth = rng.normals(d_in)
-    targets = inputs @ truth
-    if noise > 0.0:
-        targets = targets + _scaled("noise", noise, rng.normals(n))
+    targets = inputs @ truth + _scaled("noise", noise, rng.normals(n))
     return Dataset(inputs, targets, split, 0)
 
 
@@ -249,9 +244,10 @@ def save_osds(ds: Dataset, path) -> None:
 
 
 def load_osds(path, split: str = "train") -> Dataset:
-    """Read an OSDS file; a task flag other than 0 or 1, a regression class
-    count other than 0 or a class label that is not a whole number within
-    int64 is a FormatError naming the file."""
+    """Read an OSDS file; a version other than OSDS_VERSION, a task flag
+    other than 0 or 1, a regression class count other than 0 or a class
+    label that is not a whole number within int64 is a FormatError naming
+    the file."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != OSDS_MAGIC:
@@ -259,7 +255,7 @@ def load_osds(path, split: str = "train") -> Dataset:
         header = _read_exact(f, 24, "header", "OSDS")
         version, task, classes, n, d_in = struct.unpack("<IIIQI", header)
         if version != OSDS_VERSION:
-            raise FormatError(f"unsupported OSDS version {version}")
+            raise FormatError(f"OSDS file {path}: unsupported version {version}")
         if task not in (0, 1):
             raise FormatError(f"OSDS file {path}: task flag {task} is not 0 or 1")
         if task == 1 and classes != 0:

@@ -50,11 +50,12 @@ from .rng import PortableRNG
 # at least _STACK // 2 directions per _mean_gradient call (theta ± r v), and
 # regprobe.verify_one_step_expansion _STACK trials per _losses call. Keep it
 # even. At MLP-32 and N = 500 the gradient's largest array, (_STACK, 33, N)
-# float64, is 1.1 MB. One Tr(HC) at N = 500 took 116/93/70/85/86 ms at
-# 2/4/8/16/32 thetas; 4,000 trial losses at N = 600, 10 classes took
-# 350/300/261/235 ms at 2/4/8/16, but 16 cost 0.7-0.85 MB of peak memory for
-# no resolvable wall_ref gain (2-vCPU Xeon, OpenBLAS 1 thread, medians of 3-4
-# processes). Each theta's result is its own, so it changes no value.
+# float64, is 1.1 MB. One Tr(HC) on the 2P > N path (every row by finite
+# differences; MLP-32 at N = 500, which now splits its rows) took
+# 116/93/70/85/86 ms at 2/4/8/16/32 thetas; 4,000 trial losses at N = 600,
+# 10 classes took 350/300/261/235 ms at 2/4/8/16, but 16 cost 0.7-0.85 MB of
+# peak memory for no resolvable wall_ref gain (2-vCPU Xeon, OpenBLAS 1 thread,
+# medians of 3-4 processes). Each theta's result is its own, so no value moves.
 _STACK = 8
 
 # Rows per block of the Tr(HC) trace's two row sums, hessian's H and regprobe's

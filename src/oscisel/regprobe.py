@@ -74,8 +74,7 @@ def gradient_covariance_trace_hc(state: ModelState, batch: Batch) -> float:
     fd_rows = np.ones(n, dtype=bool) if 2 * d > n else fd_kink_rows(state, batch)
     total = 0.0
     if fd_rows.any():
-        rows = (batch if fd_rows.all()
-                else Batch(batch.inputs[fd_rows], batch.labels[fd_rows]))
+        rows = Batch(batch.inputs[fd_rows], batch.labels[fd_rows])
         hv = hessian_vector_product(state, rows, dev)
         total += rows.size * float(np.einsum("kd,kd->", dev, hv))
         del hv

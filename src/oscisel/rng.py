@@ -203,21 +203,18 @@ class PortableRNG:
             ns = np.arange(block.start, block.stop, block.step)
         else:
             ns = np.array(block)
-        if ns.dtype.kind not in "iu":
-            # a bound of 2**64 or more, or one past int64 beside others that
-            # NumPy then rounds to float64: below() in a loop
-            for n in block:
-                _check_bound(n)
-            return [self.below(n) for n in block]
-        _check_bound(ns.min())
-        state = self._s
-        words = self._u64s(len(block))
-        # below(n) rejects only words above 2**64 - 1 - 2**64 % n, which is
-        # at least 2**64 - n; a block with no word that high needs no test
-        # (each word reaches it with odds of n / 2**64)
-        if int(words.max()) < _MASK64 + 1 - int(ns.max()):
-            return (words % ns.astype(np.uint64)).tolist()
-        self._s = state
+        # a bound of 2**64 or more, or one past int64 beside others (NumPy
+        # rounds them to float64), skips the block draw: below() in a loop
+        if ns.dtype.kind in "iu":
+            _check_bound(ns.min())
+            state = self._s
+            words = self._u64s(len(block))
+            # below(n) rejects only words above 2**64 - 1 - 2**64 % n, which
+            # is at least 2**64 - n; a block with no word that high needs no
+            # test (each word reaches it with odds of n / 2**64)
+            if int(words.max()) < _MASK64 + 1 - int(ns.max()):
+                return (words % ns.astype(np.uint64)).tolist()
+            self._s = state
         return [self.below(n) for n in block]
 
     def shuffle(self, items) -> None:

@@ -1165,3 +1165,79 @@ def test_report_rejects_a_malformed_metrics_record(tmp_path, capsys, line, messa
     assert main(["report", "--in", str(run_dir)]) == 2
     assert capsys.readouterr().err == f"runtime error: {metrics}:2: {message}\n"
 
+
+
+@pytest.mark.parametrize(
+    "dataset, model, message",
+    [({**BLOBS, "d_in": 1}, "logistic", "blobs need d_in >= 2, got 1"),
+     ({**GAUSS, "n_train": 0}, "quadratic", "n must be >= 1, got 0"),
+     ({**GAUSS, "label_noise": 0.1}, "quadratic",
+      "label noise applies to classification only")],
+    ids=["blobs-d_in=1", "gauss_linear-n_train=0", "label_noise-on-regression"],
+)
+def test_a_dataset_its_generator_rejects_is_a_usage_error(tmp_path, capsys, dataset,
+                                                          model, message):
+    doc = base_config(tmp_path / "run", dataset=dataset, model={"kind": model})
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def _osds_config(tmp_path, d_in=2):
+    """A logistic run on 4-row OSDS train and test files of d_in columns."""
+    from oscisel.data import Dataset, save_osds
+
+    for split in ("train", "test"):
+        save_osds(Dataset(np.zeros((4, d_in)), np.array([0, 1, 0, 1]), split, 2),
+                  tmp_path / f"{split}.osds")
+    doc = base_config(
+        tmp_path / "run", model={"kind": "logistic"},
+        dataset={"kind": "osds", "train": str(tmp_path / "train.osds"),
+                 "test": str(tmp_path / "test.osds")},
+    )
+    return write_config(tmp_path, doc)
+
+
+def test_an_osds_file_of_no_columns_is_a_usage_error(tmp_path, capsys):
+    assert main(["run", "--config", str(_osds_config(tmp_path, d_in=0))]) == 1
+    assert capsys.readouterr().err == "error: d_in must be >= 1\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_an_osds_file_of_another_version_names_the_file(tmp_path, capsys):
+    cfg = _osds_config(tmp_path)
+    path = tmp_path / "train.osds"
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 2)  # the version follows the 4-byte magic
+    path.write_bytes(bytes(raw))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert (capsys.readouterr().err
+            == f"runtime error: OSDS file {path}: unsupported version 2\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_an_idx_label_file_with_the_image_magic_names_the_file(tmp_path, capsys):
+    dataset = _write_tiny_idx(tmp_path)
+    labels = tmp_path / "labels"
+    labels.write_bytes(struct.pack(">II", 0x803, 4) + bytes([0, 1, 0, 1]))
+    doc = base_config(tmp_path / "run", dataset=dataset, model={"kind": "logistic"})
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
+    assert capsys.readouterr().err == (
+        f"runtime error: unexpected magic 0x00000803 at offset 0 of {labels} "
+        "(want 0x00000801)\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_report_skips_the_epochs_a_run_did_not_evaluate(tmp_path, capsys):
+    # eval_every 2 over 3 epochs evaluates epochs 0 and 2 (the last) only
+    doc = base_config(tmp_path / "run", epochs=3, eval_every=2)
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 0
+    records = [json.loads(line) for line in
+               (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()]
+    accuracies = [r["test_accuracy"] for r in records]
+    assert accuracies[1] is None and None not in accuracies[::2]
+    assert accuracies[0] != accuracies[2]  # so the row shows which one it took
+    capsys.readouterr()
+    assert main(["report", "--in", str(tmp_path / "run")]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[:3] == ["test-run", "1", f"{accuracies[2]:.6f}"]

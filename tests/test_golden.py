@@ -5,8 +5,9 @@ compare against digests recorded once, so a refactor that claims "same
 behaviour" is checked byte for byte. Pinned: the SHA-256 of `final_theta.npy`
 and of `metrics.jsonl` (without `R_estimate`) for three small runs, the bytes
 of the OSDS files `gen-data` writes, and `oscisel probe` values. R estimates
-and Tr(HC) go through finite-difference Hessian-vector products whose
-summation order may change, so they are compared to 1e-8 relative instead.
+and Tr(HC) take H in closed form on most rows and finite-difference
+Hessian-vector products on the rest, and the summation order of either may
+change, so they are compared to 1e-8 relative instead.
 Recorded with Python 3.11 and NumPy 2.4 on x86-64.
 """
 

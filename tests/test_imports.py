@@ -2,7 +2,8 @@
 config, which defines a run, imports neither the trainer nor the CLI. Only
 data, whose DATASETS table states each dataset kind once, names one, and
 the trainer names no run-config choice. Every name the package exports is
-used by the package or a demo, not only by its own unit tests.
+used by the package or a demo, not only by its own unit tests, and every
+name a module other than __init__ imports is used in that module.
 
 The imports and string literals are read from the source with ast.
 """
@@ -108,3 +109,25 @@ def test_every_export_is_used_outside_its_own_tests():
                 used.add(node.attr)
     unused = sorted(exports - used)
     assert unused == [], f"exported, but unused in src/oscisel and demos/: {unused}"
+
+
+def test_every_import_is_used_in_its_module():
+    # no linter runs here, so this finds the imports a refactor leaves
+    # behind; annotations are parsed as code, so a name read only in one
+    # counts as used
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}: {name}"
+                       for name in bound if name not in used]
+    assert unused == [], f"imported, but unused in the importing module: {unused}"

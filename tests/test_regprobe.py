@@ -275,8 +275,9 @@ def test_trace_hc_is_a_finite_difference_across_a_relu_kink():
 
 
 def test_basis_trace_hc_is_a_finite_difference_across_a_relu_kink():
-    # the marked row keeps one difference per deviation; the basis HVPs of
-    # the other rows add their O(r^2) truncation, hence 1e-9
+    # the marked row keeps one difference per deviation; the other rows take
+    # models.hessian's closed form, which the loop's differences miss by
+    # their O(r^2) truncation, hence 1e-9
     check_finite_difference_across_a_kink(
         *trace_instances()["basis_kinked_mlp"], rel=1e-9
     )
